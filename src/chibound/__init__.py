@@ -11,9 +11,7 @@ Layered API:
   graph-class membership
 - :mod:`chibound.bounds` -- arbitrary-precision bound formulas and the
   registry of cited chi-binding bounds
-- :mod:`chibound.verify` -- per-graph checks and corpus-level suites
 - :mod:`chibound.corpus` -- graph generation and graph6 / edge-list I/O
-- :mod:`chibound.cli` -- the command-line surface
 """
 
 from .graph import (

@@ -109,10 +109,9 @@ def theorem_f(p: int, t: int, d: int) -> BoundValue:
     if p < 2 or t < 3 or d < 1:
         raise ValueError("need p >= 2, t >= 3, d >= 1")
     value = t - 1
-    prefix = sum(t**i for i in range(p))
     for level in range(2, d + 1):
         balloon_term = math.comb(t, 2) * (level * t - 1) + t + 2
-        value = prefix * (value + 1 + t * (2 * t + 9)) + t**p * balloon_term
+        value = mgun_bound(p, balloon_term, value + 1, t).value
     return bound_value(value)
 
 
@@ -122,9 +121,8 @@ def s_star_theorem_f(p: int, t: int, d: int) -> BoundValue:
     if p < 1 or t < 5 or d < 1:
         raise ValueError("need p >= 1, t >= 5, d >= 1")
     value = t - 1
-    prefix = sum(t**i for i in range(p))
     for level in range(2, d + 1):
-        value = prefix * (value + 1 + t * (2 * t + 9)) + t**p * (level * t + 2)
+        value = mgun_bound(p, level * t + 2, value + 1, t).value
     return bound_value(value)
 
 
@@ -161,11 +159,8 @@ def k3t_total_bound(p: int, t: int, w: int) -> tuple[BoundValue, str]:
     """
     if p < 2 or t < 3 or w < 1:
         raise ValueError("need p >= 2, t >= 3, w >= 1")
-    prefix = sum(t**i for i in range(p))
-    biclique_term = biclique_value_bound(p, t).value
     phi = phi_upper(t, w)
-    value = prefix * (biclique_term + t * (2 * t + 9)) + t**p * (phi.value.value + 2)
-    return bound_value(value), phi.branch
+    return mgun_bound(p, phi.value.value + 2, biclique_value_bound(p, t).value, t), phi.branch
 
 
 # ---------------------------------------------------------------------------

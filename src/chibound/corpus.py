@@ -15,7 +15,14 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .graph import CapExceeded, Graph, bits_list, build_graph, iter_bits
-from .patterns import PatternSpec, is_family_free, make_pattern, occurs_with_vertex
+from .patterns import (
+    PATTERN_KINDS,
+    PatternSpec,
+    c4_flag_family,
+    is_family_free,
+    make_pattern,
+    occurs_with_vertex,
+)
 
 EXHAUSTIVE_MAX_N = 10
 RAW_EXHAUSTIVE_MAX_N = 7
@@ -406,48 +413,42 @@ def exhaustive_class_counts(n_max: int) -> list[int]:
 # String grammars (the CLI surface owns these shapes)
 
 
+def _parse_params(text: str, names: tuple[str, ...], context: str) -> dict[str, int]:
+    """Parse "key=value,key=value" into exactly the integer parameters ``names``."""
+    params: dict[str, int] = {}
+    for item in text.split(","):
+        if not item:
+            continue
+        key, _, value = item.partition("=")
+        key = key.strip()
+        if not value:
+            raise ValueError(f"bad parameter {item!r} in {context!r}")
+        if key in params:
+            raise ValueError(f"repeated parameter {key!r} in {context!r}")
+        params[key] = int(value)
+    missing = [name for name in names if name not in params]
+    if missing:
+        raise ValueError(f"{context!r} is missing parameter {missing[0]!r}")
+    unknown = [key for key in params if key not in names]
+    if unknown:
+        raise ValueError(f"unknown parameter {unknown[0]!r} in {context!r}; expected {names}")
+    return params
+
+
 def parse_pattern(text: str) -> PatternSpec:
-    """Parse "kind:key=value,key=value" pattern strings, e.g. "broom:t=2,k=2"."""
+    """Parse "kind:key=value,key=value" pattern strings, e.g. "broom:t=2,k=2".
+
+    The inverse of ``PatternSpec.__str__``: every parameter of the kind
+    must appear exactly once, and no other.
+    """
     text = text.strip()
-    if ":" in text:
-        kind, _, rest = text.partition(":")
-        params = {}
-        for item in rest.split(","):
-            if not item:
-                continue
-            key, _, value = item.partition("=")
-            if not value:
-                raise ValueError(f"bad pattern parameter {item!r} in {text!r}")
-            params[key.strip()] = int(value)
-    else:
-        kind, params = text, {}
+    kind, _, rest = text.partition(":")
     kind = kind.strip().lower()
-    try:
-        if kind == "path":
-            return PatternSpec.path(params["k"])
-        if kind == "cycle":
-            return PatternSpec.cycle(params["k"])
-        if kind == "complete":
-            return PatternSpec.complete(params["n"])
-        if kind == "star":
-            return PatternSpec.star(params["k"])
-        if kind == "broom":
-            return PatternSpec.broom(params["t"], params["k"])
-        if kind == "flag":
-            return PatternSpec.flag(params["p"])
-        if kind == "twoarmstar":
-            return PatternSpec.two_arm_star(params["t"], params["p"])
-        if kind == "bplus":
-            return PatternSpec.bplus(params["p"], params["k"], params["t"])
-        if kind == "kdt":
-            return PatternSpec.kdt(params["d"], params["t"])
-        if kind == "biclique":
-            return PatternSpec.biclique(params["s"], params["t"])
-        if kind == "uniformtree":
-            return PatternSpec.uniform_tree(params["zeta"], params["eta"])
-    except KeyError as exc:
-        raise ValueError(f"pattern {text!r} is missing parameter {exc}") from exc
-    raise ValueError(f"unknown pattern kind {kind!r}")
+    if kind not in PATTERN_KINDS:
+        raise ValueError(f"unknown pattern kind {kind!r}")
+    names = PATTERN_KINDS[kind][0]
+    params = _parse_params(rest, names, text)
+    return PatternSpec(kind, tuple((name, params[name]) for name in names))
 
 
 def parse_corpus_spec(text: str) -> CorpusSpec:
@@ -476,10 +477,12 @@ def parse_corpus_spec(text: str) -> CorpusSpec:
         if not value:
             raise ValueError(f"bad corpus field {item!r}")
         fields[key.strip()] = value.strip()
+    if mode not in ("exhaustive", "random"):
+        raise ValueError(f"unknown corpus mode {mode!r}")
+    span = fields.get("n")
+    if span is None:
+        raise ValueError(f"{mode} corpus needs field 'n'")
     if mode == "exhaustive":
-        span = fields.get("n")
-        if span is None:
-            raise ValueError("exhaustive corpus needs n=K or n=A..B")
         if ".." in span:
             lo, _, hi = span.partition("..")
             n_min, n_max = int(lo), int(hi)
@@ -489,18 +492,16 @@ def parse_corpus_spec(text: str) -> CorpusSpec:
         return CorpusSpec(
             mode="exhaustive", n_min=n_min, n_max=n_max, filters=filters, dedup=dedup
         )
-    if mode == "random":
-        return CorpusSpec(
-            mode="random",
-            n_min=int(fields["n"]),
-            n_max=int(fields["n"]),
-            edge_prob=float(fields.get("p", "0.5")),
-            count=int(fields.get("count", "100")),
-            seed=int(fields.get("seed", "0")),
-            filters=filters,
-            dedup=fields.get("dedup", "0") in ("1", "true"),
-        )
-    raise ValueError(f"unknown corpus mode {mode!r}")
+    return CorpusSpec(
+        mode="random",
+        n_min=int(span),
+        n_max=int(span),
+        edge_prob=float(fields.get("p", "0.5")),
+        count=int(fields.get("count", "100")),
+        seed=int(fields.get("seed", "0")),
+        filters=filters,
+        dedup=fields.get("dedup", "0") in ("1", "true"),
+    )
 
 
 def _parse_filters(text: str) -> tuple[PatternFilter, ...]:
@@ -513,13 +514,8 @@ def _parse_filters(text: str) -> tuple[PatternFilter, ...]:
         head, _, rest = chunk.partition(":")
         head = head.lower()
         if head == "h":
-            params = dict(item.partition("=")[::2] for item in rest.split(","))
-            p = int(params["p"])
-            out.append(
-                PatternFilter(
-                    family=(PatternSpec.cycle(4), PatternSpec.flag(p)), induced=True
-                )
-            )
+            p = _parse_params(rest, ("p",), chunk)["p"]
+            out.append(PatternFilter(family=c4_flag_family(p), induced=True))
         elif head == "free":
             out.append(PatternFilter(family=(parse_pattern(rest),), induced=True))
         elif head == "nosub":

@@ -145,6 +145,30 @@ class LayerDecomposition:
         return frozenset(out)
 
 
+def bfs_layers(g: Graph, start: int, within: int) -> list[int]:
+    """Breadth-first layer masks inside the induced set ``within``.
+
+    ``out[0]`` is ``start & within`` and ``out[i]`` holds the vertices of
+    ``within`` at distance exactly i from it in the induced subgraph; the
+    list ends at the last nonempty layer (empty when ``start & within``
+    is empty).  Layers are disjoint, so ``sum`` of them is their union.
+    """
+    adj = g.adj
+    frontier = start & within
+    seen = frontier
+    out = []
+    while frontier:
+        out.append(frontier)
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & within & ~seen
+        seen |= frontier
+    return out
+
+
 def layers(g: Graph, source: Iterable[int]) -> LayerDecomposition:
     """Decompose V(g) into BFS distance layers from a nonempty source set."""
     src_mask = mask_of(source)
@@ -152,24 +176,11 @@ def layers(g: Graph, source: Iterable[int]) -> LayerDecomposition:
         raise ValueError("source set must be nonempty")
     if src_mask >> g.n:
         raise ValueError("source contains out-of-range vertices")
-    seen = src_mask
-    frontier = src_mask
-    out: list[frozenset[int]] = []
-    while True:
-        nxt = 0
-        for v in iter_bits(frontier):
-            nxt |= g.adj[v]
-        nxt &= ~seen
-        if not nxt:
-            break
-        out.append(frozenset(iter_bits(nxt)))
-        seen |= nxt
-        frontier = nxt
-    unreachable = g.full_mask() & ~seen
+    found = bfs_layers(g, src_mask, g.full_mask())
     return LayerDecomposition(
         source=frozenset(iter_bits(src_mask)),
-        layers=tuple(out),
-        unreachable=frozenset(iter_bits(unreachable)),
+        layers=tuple(frozenset(iter_bits(layer)) for layer in found[1:]),
+        unreachable=frozenset(iter_bits(g.full_mask() & ~sum(found))),
     )
 
 
@@ -192,31 +203,25 @@ def induced(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     return Graph(len(vs), tuple(adj)), tuple(vs)
 
 
+def components_masks(g: Graph, within: int) -> list[int]:
+    """Component masks of the induced subgraph on ``within``, by smallest member."""
+    out = []
+    rest = within
+    while rest:
+        comp = _component_mask(g, rest & -rest, within)
+        out.append(comp)
+        rest &= ~comp
+    return out
+
+
 def components(g: Graph) -> list[frozenset[int]]:
     """Connected components as vertex sets, ordered by smallest member."""
-    seen = 0
-    comps = []
-    for v in range(g.n):
-        if seen >> v & 1:
-            continue
-        comp = _component_mask(g, 1 << v, g.full_mask())
-        seen |= comp
-        comps.append(frozenset(iter_bits(comp)))
-    return comps
+    return [frozenset(iter_bits(m)) for m in components_masks(g, g.full_mask())]
 
 
 def _component_mask(g: Graph, start_mask: int, within: int) -> int:
     """Mask of the component of ``start_mask`` inside the induced set ``within``."""
-    comp = start_mask & within
-    frontier = comp
-    while frontier:
-        nxt = 0
-        for v in iter_bits(frontier):
-            nxt |= g.adj[v]
-        nxt &= within & ~comp
-        comp |= nxt
-        frontier = nxt
-    return comp
+    return sum(bfs_layers(g, start_mask, within))
 
 
 def is_connected_mask(g: Graph, mask: int) -> bool:

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, Iterable
 
-from .graph import Graph, bits_list, build_graph, iter_bits
+from .graph import Graph, bits_list, build_graph, components_masks, iter_bits
 
 
 @dataclass(frozen=True)
@@ -38,47 +39,52 @@ class PatternSpec:
 
     @staticmethod
     def path(k: int) -> "PatternSpec":
-        return PatternSpec("path", (("k", k),))
+        return _spec("path", k)
 
     @staticmethod
     def cycle(k: int) -> "PatternSpec":
-        return PatternSpec("cycle", (("k", k),))
+        return _spec("cycle", k)
 
     @staticmethod
     def complete(n: int) -> "PatternSpec":
-        return PatternSpec("complete", (("n", n),))
+        return _spec("complete", n)
 
     @staticmethod
     def star(k: int) -> "PatternSpec":
-        return PatternSpec("star", (("k", k),))
+        return _spec("star", k)
 
     @staticmethod
     def broom(t: int, k: int) -> "PatternSpec":
-        return PatternSpec("broom", (("t", t), ("k", k)))
+        return _spec("broom", t, k)
 
     @staticmethod
     def flag(p: int) -> "PatternSpec":
-        return PatternSpec("flag", (("p", p),))
+        return _spec("flag", p)
 
     @staticmethod
     def two_arm_star(t: int, p: int) -> "PatternSpec":
-        return PatternSpec("twoarmstar", (("t", t), ("p", p)))
+        return _spec("twoarmstar", t, p)
 
     @staticmethod
     def bplus(p: int, k: int, t: int) -> "PatternSpec":
-        return PatternSpec("bplus", (("p", p), ("k", k), ("t", t)))
+        return _spec("bplus", p, k, t)
 
     @staticmethod
     def kdt(d: int, t: int) -> "PatternSpec":
-        return PatternSpec("kdt", (("d", d), ("t", t)))
+        return _spec("kdt", d, t)
 
     @staticmethod
     def biclique(s: int, t: int) -> "PatternSpec":
-        return PatternSpec("biclique", (("s", s), ("t", t)))
+        return _spec("biclique", s, t)
 
     @staticmethod
     def uniform_tree(zeta: int, eta: int) -> "PatternSpec":
-        return PatternSpec("uniformtree", (("zeta", zeta), ("eta", eta)))
+        return _spec("uniformtree", zeta, eta)
+
+
+def c4_flag_family(p: int) -> tuple[PatternSpec, PatternSpec]:
+    """C4 and the p-flag: the induced-free family that defines class H."""
+    return PatternSpec.cycle(4), PatternSpec.flag(p)
 
 
 @dataclass(frozen=True)
@@ -93,9 +99,79 @@ class Occurrence:
     induced: bool
 
 
-def _require(cond: bool, spec: PatternSpec, rule: str) -> None:
-    if not cond:
-        raise ValueError(f"invalid pattern {spec}: requires {rule}")
+def _chain(vertices: Iterable[int]) -> list[tuple[int, int]]:
+    """Edges of the path through ``vertices`` in the given order."""
+    vs = list(vertices)
+    return list(zip(vs, vs[1:]))
+
+
+def _broom(t: int, k: int) -> Graph:
+    # K_{1,t+1} with one edge subdivided k times: center 0, leaves 1..t,
+    # then a path of length k+1 ending at the subdivided leaf.
+    edges = [(0, i) for i in range(1, t + 1)] + _chain([0, *range(t + 1, t + k + 2)])
+    return build_graph(t + k + 2, edges)
+
+
+def _flag(p: int) -> Graph:
+    # triangle 0,1,2 plus a path of length p hanging off vertex 0
+    return build_graph(3 + p, [(0, 1), (1, 2), (0, 2)] + _chain([0, *range(3, 3 + p)]))
+
+
+def _two_arm_star(t: int, p: int) -> Graph:
+    # center 0 with t-4 pendant leaves, an arm of length 4 and an arm of
+    # length p
+    leaves = t - 4
+    edges = [(0, i) for i in range(1, leaves + 1)]
+    edges += _chain([0, *range(leaves + 1, leaves + 5)])
+    edges += _chain([0, *range(leaves + 5, leaves + 5 + p)])
+    return build_graph(1 + leaves + 4 + p, edges)
+
+
+def _bplus(p: int, k: int, t: int) -> Graph:
+    # center 0 with t-1 leaves, a path of length p+k, and one extra
+    # pendant at the path vertex at distance k from the center
+    chain = [0, *range(t, t + p + k)]
+    edges = [(0, i) for i in range(1, t)] + _chain(chain) + [(chain[k], t + p + k)]
+    return build_graph(t + p + k + 1, edges)
+
+
+def _kdt(d: int, t: int) -> Graph:
+    n = d * t
+    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if u // t != v // t])
+
+
+def _uniform_tree(zeta: int, eta: int) -> Graph:
+    # perfect zeta-ary tree of depth eta, root 0, breadth-first ids: the
+    # parent of vertex i >= 1 is (i - 1) // zeta
+    n = sum(zeta**i for i in range(eta + 1))
+    return build_graph(n, [((i - 1) // zeta, i) for i in range(1, n)])
+
+
+def _biclique(s: int, t: int) -> Graph:
+    return build_graph(s + t, [(i, s + j) for i in range(s) for j in range(t)])
+
+
+# kind -> (parameter names, the minimum of each parameter, builder taking
+# the parameters in that order).  The table is the single source for the
+# PatternSpec constructors, make_pattern and parse_pattern.
+PatternKind = tuple[tuple[str, ...], tuple[int, ...], Callable[..., Graph]]
+PATTERN_KINDS: dict[str, PatternKind] = {
+    "path": (("k",), (1,), lambda k: build_graph(k, _chain(range(k)))),
+    "cycle": (("k",), (3,), lambda k: build_graph(k, _chain([*range(k), 0]))),
+    "complete": (("n",), (1,), lambda n: _kdt(n, 1)),  # K_n = K_n(1)
+    "star": (("k",), (1,), lambda k: build_graph(k + 1, [(0, i) for i in range(1, k + 1)])),
+    "broom": (("t", "k"), (1, 1), _broom),
+    "flag": (("p",), (1,), _flag),
+    "twoarmstar": (("t", "p"), (5, 1), _two_arm_star),
+    "bplus": (("p", "k", "t"), (2, 2, 3), _bplus),
+    "kdt": (("d", "t"), (1, 1), _kdt),
+    "biclique": (("s", "t"), (1, 1), _biclique),
+    "uniformtree": (("zeta", "eta"), (2, 1), _uniform_tree),
+}
+
+
+def _spec(kind: str, *values: int) -> PatternSpec:
+    return PatternSpec(kind, tuple(zip(PATTERN_KINDS[kind][0], values)))
 
 
 def make_pattern(spec: PatternSpec) -> Graph:
@@ -105,94 +181,14 @@ def make_pattern(spec: PatternSpec) -> Graph:
 
 @lru_cache(maxsize=None)
 def _make_pattern_cached(spec: PatternSpec) -> Graph:
-    kind = spec.kind
-    if kind == "path":
-        k = spec["k"]
-        _require(k >= 1, spec, "k >= 1")
-        return build_graph(k, [(i, i + 1) for i in range(k - 1)])
-    if kind == "cycle":
-        k = spec["k"]
-        _require(k >= 3, spec, "k >= 3")
-        return build_graph(k, [(i, (i + 1) % k) for i in range(k)])
-    if kind == "complete":
-        n = spec["n"]
-        _require(n >= 1, spec, "n >= 1")
-        return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-    if kind == "star":
-        k = spec["k"]
-        _require(k >= 1, spec, "k >= 1")
-        return build_graph(k + 1, [(0, i) for i in range(1, k + 1)])
-    if kind == "broom":
-        t, k = spec["t"], spec["k"]
-        _require(t >= 1 and k >= 1, spec, "t >= 1 and k >= 1")
-        # K_{1,t+1} with one edge subdivided k times: center 0, leaves
-        # 1..t, then a path of length k+1 ending at the subdivided leaf.
-        edges = [(0, i) for i in range(1, t + 1)]
-        chain = [0] + list(range(t + 1, t + k + 2))
-        edges += [(chain[i], chain[i + 1]) for i in range(len(chain) - 1)]
-        return build_graph(t + k + 2, edges)
-    if kind == "flag":
-        p = spec["p"]
-        _require(p >= 1, spec, "p >= 1")
-        # triangle 0,1,2 plus a path of length p hanging off vertex 0
-        edges = [(0, 1), (1, 2), (0, 2)]
-        chain = [0] + list(range(3, 3 + p))
-        edges += [(chain[i], chain[i + 1]) for i in range(len(chain) - 1)]
-        return build_graph(3 + p, edges)
-    if kind == "twoarmstar":
-        t, p = spec["t"], spec["p"]
-        _require(t >= 5 and p >= 1, spec, "t >= 5 and p >= 1")
-        # center 0 with t-4 pendant leaves, an arm of length 4 and an arm
-        # of length p
-        n_leaves = t - 4
-        edges = [(0, i) for i in range(1, n_leaves + 1)]
-        arm4 = [0] + list(range(n_leaves + 1, n_leaves + 5))
-        edges += [(arm4[i], arm4[i + 1]) for i in range(4)]
-        armp = [0] + list(range(n_leaves + 5, n_leaves + 5 + p))
-        edges += [(armp[i], armp[i + 1]) for i in range(p)]
-        return build_graph(1 + n_leaves + 4 + p, edges)
-    if kind == "bplus":
-        p, k, t = spec["p"], spec["k"], spec["t"]
-        _require(p >= 2 and k >= 2 and t >= 3, spec, "p >= 2, k >= 2, t >= 3")
-        # center 0 with t-1 leaves, a path of length p+k, and one extra
-        # pendant at the path vertex at distance k from the center
-        edges = [(0, i) for i in range(1, t)]
-        chain = [0] + list(range(t, t + p + k))
-        edges += [(chain[i], chain[i + 1]) for i in range(p + k)]
-        pendant = t + p + k
-        edges.append((chain[k], pendant))
-        return build_graph(t + p + k + 1, edges)
-    if kind == "kdt":
-        d, t = spec["d"], spec["t"]
-        _require(d >= 1 and t >= 1, spec, "d >= 1 and t >= 1")
-        n = d * t
-        edges = []
-        for u in range(n):
-            for v in range(u + 1, n):
-                if u // t != v // t:
-                    edges.append((u, v))
-        return build_graph(n, edges)
-    if kind == "biclique":
-        s, t = spec["s"], spec["t"]
-        _require(s >= 1 and t >= 1, spec, "s >= 1 and t >= 1")
-        return build_graph(s + t, [(i, s + j) for i in range(s) for j in range(t)])
-    if kind == "uniformtree":
-        zeta, eta = spec["zeta"], spec["eta"]
-        _require(zeta >= 2 and eta >= 1, spec, "zeta >= 2 and eta >= 1")
-        # perfect zeta-ary tree of depth eta, root 0, breadth-first ids
-        edges = []
-        level = [0]
-        nxt_id = 1
-        for _ in range(eta):
-            nxt_level = []
-            for parent in level:
-                for _ in range(zeta):
-                    edges.append((parent, nxt_id))
-                    nxt_level.append(nxt_id)
-                    nxt_id += 1
-            level = nxt_level
-        return build_graph(nxt_id, edges)
-    raise ValueError(f"unknown pattern kind {kind!r}")
+    if spec.kind not in PATTERN_KINDS:
+        raise ValueError(f"unknown pattern kind {spec.kind!r}")
+    names, minimums, build = PATTERN_KINDS[spec.kind]
+    values = [spec[name] for name in names]
+    if any(v < m for v, m in zip(values, minimums)):
+        rule = ", ".join(f"{name} >= {m}" for name, m in zip(names, minimums))
+        raise ValueError(f"invalid pattern {spec}: requires {rule}")
+    return build(*values)
 
 
 def validate_occurrence(g: Graph, h: Graph, occ: Occurrence) -> bool:
@@ -388,28 +384,11 @@ def _multipartite_parts(h: Graph) -> list[list[int]] | None:
     by smallest member.
     """
     comp = h.complement()
-    seen = 0
-    parts = []
-    for v in range(h.n):
-        if seen >> v & 1:
-            continue
-        mask = 1 << v
-        frontier = mask
-        while frontier:
-            nxt = 0
-            for u in iter_bits(frontier):
-                nxt |= comp.adj[u]
-            nxt &= ~mask
-            mask |= nxt
-            frontier = nxt
-        members = bits_list(mask)
-        for u in members:
-            for w in members:
-                if u < w and not comp.has_edge(u, w):
-                    return None
-        seen |= mask
-        parts.append(members)
-    return parts
+    parts = components_masks(comp, comp.full_mask())
+    for mask in parts:
+        if any((comp.adj[u] | 1 << u) & mask != mask for u in iter_bits(mask)):
+            return None
+    return [bits_list(mask) for mask in parts]
 
 
 def _find_multipartite_subgraph(g: Graph, parts: list[int]) -> list[list[int]] | None:

@@ -17,17 +17,18 @@ from typing import Iterator, Mapping
 from .graph import (
     CapExceeded,
     Graph,
-    _component_mask,
     _t_connected_mask,
+    bfs_layers,
     bits_list,
     build_graph,
+    components_masks,
     induced,
     is_connected_mask,
     is_t_connected,
     iter_bits,
     mask_of,
 )
-from .patterns import Occurrence, PatternSpec, is_family_free
+from .patterns import Occurrence, PatternSpec, c4_flag_family, is_family_free
 from .solvers import chi_of_subset, clique_number
 
 BALLOON_MAX_N = 16
@@ -122,9 +123,10 @@ def enumerate_balloons(
     Paths come in lexicographic sequence order; candidate bodies per
     path by increasing size then lexicographic.  Bodies are pruned by
     "connected and contains the path endpoint" before the t-connectivity
-    test.  With ``cap`` the list is truncated at exactly ``cap`` entries
-    (callers treat a full-length result as possibly truncated).  Raises
-    :class:`CapExceeded` when the graph is larger than ``max_n``.
+    test.  With ``cap`` the list stops after ``cap`` entries, so a
+    caller that must tell a cut list from a complete one asks for one
+    entry more than it accepts.  Raises :class:`CapExceeded` when the
+    graph is larger than ``max_n``.
     """
     if p < 1 or t < 1:
         raise ValueError("p and t must be >= 1")
@@ -208,27 +210,19 @@ def balloon_layer_max_degree(g: Graph, b: Balloon) -> int:
     Layers are computed inside the body, not in the host graph.  Returns
     -1 when no body vertex lies at distance >= 2.
     """
-    body_mask = mask_of(b.body)
-    tip_bit = 1 << b.tip
-    # BFS inside the body
-    seen = tip_bit
-    frontier = tip_bit
-    near = tip_bit  # distance <= 1
-    first = True
-    while frontier:
-        nxt = 0
-        for v in iter_bits(frontier):
-            nxt |= g.adj[v]
-        nxt &= body_mask & ~seen
-        if first:
-            near |= nxt
-            first = False
-        seen |= nxt
-        frontier = nxt
-    far = seen & ~near
-    if not far:
-        return -1
-    return max((g.adj[v] & far).bit_count() for v in iter_bits(far))
+    return _far_region(g, b)[1]
+
+
+def _far_region(g: Graph, b: Balloon) -> tuple[list[int], int, int]:
+    """Body layers from the tip, and the max degree of the body subgraph on
+    the layers at distance >= 2 (-1 when empty) with the mask of its
+    vertices of that degree."""
+    body_layers = bfs_layers(g, 1 << b.tip, mask_of(b.body))
+    far = sum(body_layers[2:])
+    degs = {v: (g.adj[v] & far).bit_count() for v in iter_bits(far)}
+    dmax = max(degs.values(), default=-1)
+    top = mask_of(v for v, d in degs.items() if d == dmax)
+    return body_layers, dmax, top
 
 
 def balloon_tip_degree(g: Graph, b: Balloon) -> int:
@@ -302,15 +296,7 @@ def minimal_cutsets(
     for size in range(1, g.n - 1):
         for combo in combinations(range(g.n), size):
             x_mask = mask_of(combo)
-            rest = full & ~x_mask
-            comp_masks = []
-            seen = 0
-            for v in iter_bits(rest):
-                if seen >> v & 1:
-                    continue
-                comp = _component_mask(g, 1 << v, rest)
-                seen |= comp
-                comp_masks.append(comp)
+            comp_masks = components_masks(g, full & ~x_mask)
             if len(comp_masks) < 2:
                 continue
             if all(
@@ -330,7 +316,7 @@ def in_class_H(g: Graph, p: int) -> tuple[bool, Occurrence | None]:
     """Membership in the C4-free and p-flag-free class, with witness on failure."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    return is_family_free(g, [PatternSpec.cycle(4), PatternSpec.flag(p)], induced=True)
+    return is_family_free(g, list(c4_flag_family(p)), induced=True)
 
 
 _L_PRECONDITION_FAMILY = [PatternSpec.path(6), PatternSpec.broom(2, 2)]
@@ -373,19 +359,6 @@ def in_class_L(
             if cert is not None:
                 return True, cert
     return False, None
-
-
-def components_masks(g: Graph, within: int) -> list[int]:
-    """Component masks of the induced subgraph on ``within``, by smallest member."""
-    seen = 0
-    out = []
-    for v in iter_bits(within):
-        if seen >> v & 1:
-            continue
-        comp = _component_mask(g, 1 << v, within)
-        seen |= comp
-        out.append(comp)
-    return out
 
 
 def _class_l_find(
@@ -500,40 +473,15 @@ def in_class_F(
     member, _ = in_class_H(g, p)
     if not member:
         raise ValueError("graph is outside the C4-free p-flag-free class")
-    balloons = enumerate_balloons(g, p, t, cap=cap)
-    if cap is not None and len(balloons) >= cap:
-        raise CapExceeded("balloon enumeration truncated")
+    balloons = enumerate_balloons(g, p, t, cap=None if cap is None else cap + 1)
+    if cap is not None and len(balloons) > cap:
+        raise CapExceeded(f"more than {cap} balloons")
     limit = k + 1 if from_neighborhood else k
     for b in balloons:
-        body_mask = mask_of(b.body)
-        depth = _body_layer_indices(g, body_mask, b.tip)
-        far = [v for v, d in depth.items() if d >= 2]
-        if not far:
-            continue
-        far_mask = mask_of(far)
-        degs = {v: (g.adj[v] & far_mask).bit_count() for v in far}
-        dmax = max(degs.values())
-        if not any(depth[v] <= limit for v, d in degs.items() if d == dmax):
+        body_layers, _, top = _far_region(g, b)
+        if top and not top & sum(body_layers[: limit + 1]):
             return False
     return True
-
-
-def _body_layer_indices(g: Graph, body_mask: int, tip: int) -> dict[int, int]:
-    depth = {tip: 0}
-    frontier = 1 << tip
-    seen = frontier
-    d = 0
-    while frontier:
-        d += 1
-        nxt = 0
-        for v in iter_bits(frontier):
-            nxt |= g.adj[v]
-        nxt &= body_mask & ~seen
-        for v in iter_bits(nxt):
-            depth[v] = d
-        seen |= nxt
-        frontier = nxt
-    return depth
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from chibound.corpus import (
     write_edge_list,
     write_graph6,
 )
-from chibound.patterns import PatternSpec
+from chibound.patterns import PATTERN_KINDS, PatternSpec
 
 from helpers import complete_graph, cycle_graph, path_graph, petersen_graph, random_graph
 
@@ -270,11 +270,33 @@ class TestGrammar:
             spec = parse_pattern(text)
             assert str(spec) == text
 
+    def test_pattern_round_trip_every_kind(self):
+        specs = [
+            PatternSpec.path(4),
+            PatternSpec.cycle(5),
+            PatternSpec.complete(3),
+            PatternSpec.star(3),
+            PatternSpec.broom(2, 1),
+            PatternSpec.flag(2),
+            PatternSpec.two_arm_star(6, 2),
+            PatternSpec.bplus(2, 3, 4),
+            PatternSpec.kdt(3, 2),
+            PatternSpec.biclique(2, 3),
+            PatternSpec.uniform_tree(3, 2),
+        ]
+        assert {spec.kind for spec in specs} == set(PATTERN_KINDS)
+        for spec in specs:
+            assert parse_pattern(str(spec)) == spec
+
     def test_pattern_errors(self):
         with pytest.raises(ValueError):
             parse_pattern("broom:t=2")
         with pytest.raises(ValueError):
             parse_pattern("frobnicate:x=1")
+        with pytest.raises(ValueError, match="unknown parameter 'z'"):
+            parse_pattern("path:k=4,z=9")
+        with pytest.raises(ValueError, match="repeated parameter 'k'"):
+            parse_pattern("path:k=4,k=5")
 
     def test_corpus_exact(self):
         spec = parse_corpus_spec("exhaustive:n=4")
@@ -302,3 +324,9 @@ class TestGrammar:
             parse_corpus_spec("exhaustive:m=4")
         with pytest.raises(ValueError):
             parse_corpus_spec("sideways:n=4")
+        with pytest.raises(ValueError, match="'n'"):
+            parse_corpus_spec("random:p=0.5")
+        with pytest.raises(ValueError, match="'p'"):
+            parse_corpus_spec("exhaustive:n=4,filters=H:q=2")
+        with pytest.raises(ValueError, match="'p'"):
+            parse_corpus_spec("exhaustive:n=4,filters=H")

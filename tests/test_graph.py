@@ -3,8 +3,10 @@ import random
 import pytest
 
 from chibound.graph import (
+    bfs_layers,
     build_graph,
     components,
+    components_masks,
     degeneracy,
     induced,
     is_t_connected,
@@ -147,6 +149,51 @@ class TestComponents:
         g = build_graph(5, [(1, 3), (0, 4)])
         comps = components(g)
         assert [min(c) for c in comps] == sorted(min(c) for c in comps)
+
+
+class TestBfsLayers:
+    """The bitset BFS inside a ``within`` set against per-vertex BFS on the
+    induced subgraph."""
+
+    def test_layers_match_distance_oracle(self):
+        rng = random.Random(11)
+        start_outside = 0
+        for _ in range(200):
+            n = rng.randint(1, 12)
+            g = random_graph(n, rng.choice([0.15, 0.3, 0.5]), rng)
+            within = rng.getrandbits(n)
+            start = rng.getrandbits(n)
+            start_outside += bool(start & ~within)
+            sub, vmap = induced(g, [v for v in range(n) if within >> v & 1])
+            dist = [-1] * sub.n
+            for i, v in enumerate(vmap):
+                if start >> v & 1:
+                    for j, d in enumerate(bfs_distances(sub, i)):
+                        if d >= 0 and (dist[j] < 0 or d < dist[j]):
+                            dist[j] = d
+            expected = [0] * (max(dist, default=-1) + 1)
+            for j, d in enumerate(dist):
+                if d >= 0:
+                    expected[d] |= 1 << vmap[j]
+            assert bfs_layers(g, start, within) == expected
+        assert start_outside > 50
+
+    def test_components_masks_match_oracle(self):
+        rng = random.Random(12)
+        for _ in range(200):
+            n = rng.randint(1, 12)
+            g = random_graph(n, rng.choice([0.15, 0.3, 0.5]), rng)
+            within = rng.getrandbits(n)
+            sub, vmap = induced(g, [v for v in range(n) if within >> v & 1])
+            expected = []
+            covered: set[int] = set()
+            for i in range(sub.n):
+                if i in covered:
+                    continue
+                members = {j for j, d in enumerate(bfs_distances(sub, i)) if d >= 0}
+                covered |= members
+                expected.append(sum(1 << vmap[j] for j in members))
+            assert components_masks(g, within) == expected
 
 
 class TestTConnectivity:

@@ -378,6 +378,12 @@ class TestClassF:
     def test_c5(self):
         assert in_class_F(cycle_graph(5), 2, 1, 2)
 
+    def test_cap_equal_to_balloon_count_is_not_truncation(self):
+        # C5 has exactly five (1,2)-balloons: one per tip, body all of C5
+        assert in_class_F(cycle_graph(5), 2, 1, 2, cap=5)
+        with pytest.raises(CapExceeded):
+            in_class_F(cycle_graph(5), 2, 1, 2, cap=4)
+
     def test_rejects_non_member(self):
         with pytest.raises(ValueError):
             in_class_F(cycle_graph(4), 2, 1, 2)  # C4 itself
