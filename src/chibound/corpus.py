@@ -256,6 +256,10 @@ class PatternFilter:
         return True
 
     def __str__(self) -> str:
+        if self.induced and len(self.family) == 2:
+            p = dict(self.family[1].params).get("p")
+            if p is not None and self.family == c4_flag_family(p):
+                return f"H:p={p}"
         mode = "free" if self.induced else "nosub"
         return "+".join(f"{mode}:{spec}" for spec in self.family)
 

@@ -235,8 +235,11 @@ def is_connected_mask(g: Graph, mask: int) -> bool:
 def is_t_connected(g: Graph, t: int) -> bool:
     """Exact t-connectivity: |V| >= t+1 and no vertex cut of size < t.
 
-    Complete graphs are (n-1)-connected.  Decided by Menger-style
-    unit-vertex-capacity max-flow between nonadjacent pairs.
+    Complete graphs are (n-1)-connected.  Otherwise, with v a vertex of
+    minimum degree, it is decided by Menger-style vertex-disjoint path
+    counts between v and each vertex outside N[v] and between each
+    nonadjacent pair inside N(v) (Esfahanian & Hakimi, 1984): a minimum
+    separator either misses v or contains v and splits N(v).
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
@@ -245,71 +248,102 @@ def is_t_connected(g: Graph, t: int) -> bool:
 
 def _t_connected_mask(g: Graph, mask: int, t: int) -> bool:
     """t-connectivity of the induced subgraph on ``mask`` without relabeling."""
-    verts = bits_list(mask)
-    k = len(verts)
+    k = mask.bit_count()
     if k < t + 1:
         return False
-    complete = all((g.adj[v] & mask).bit_count() == k - 1 for v in verts)
-    if complete:
+    adj = g.adj
+    low, v = k, -1
+    rest = mask
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        u = bit.bit_length() - 1
+        d = (adj[u] & mask).bit_count()
+        if d < t:  # kappa <= delta: cheap reject before running any flow
+            return False
+        if d < low:
+            low, v = d, u
+    if low == k - 1:  # complete
         return True
-    # kappa <= delta: cheap reject before running any flow
-    if min((g.adj[v] & mask).bit_count() for v in verts) < t:
-        return False
-    for i, u in enumerate(verts):
-        for v in verts[i + 1:]:
-            if not g.has_edge(u, v):
-                if _vertex_flow_at_least(g, mask, u, v, t) < t:
-                    return False
+    near = adj[v] & mask
+    for w in iter_bits(mask & ~near & ~(1 << v)):
+        if _vertex_flow_at_least(g, mask, v, w, t) < t:
+            return False
+    rest = near
+    for x in iter_bits(near):
+        rest ^= 1 << x
+        for y in iter_bits(rest & ~adj[x]):
+            if _vertex_flow_at_least(g, mask, x, y, t) < t:
+                return False
     return True
 
 
-def _vertex_flow_at_least(g: Graph, mask: int, s: int, t_vertex: int, need: int) -> int:
-    """Count internally vertex-disjoint s..t paths inside ``mask``, stopping at ``need``.
+def _vertex_flow_at_least(g: Graph, mask: int, s: int, sink: int, need: int) -> int:
+    """Count internally vertex-disjoint s..sink paths inside ``mask``, stopping at ``need``.
 
-    Standard vertex-split construction: node 2v is the in-copy, 2v+1 the
-    out-copy; the v_in->v_out arc has capacity 1 for internal vertices.
+    Augmenting paths in the vertex-split network, searched breadth-first
+    on the bitset rows.  Each vertex w has an in-copy and an out-copy;
+    ``saturated`` holds the internal vertices a path runs through and
+    ``pred[w]`` the vertex whose out-copy feeds w's in-copy.  A residual
+    path enters a saturated w only to leave backwards towards ``pred[w]``.
     """
-    verts = bits_list(mask)
-    idx = {v: i for i, v in enumerate(verts)}
-    k = len(verts)
-    size = 2 * k
-    cap = [[0] * size for _ in range(size)]
-    for v in verts:
-        i = idx[v]
-        cap[2 * i][2 * i + 1] = 1
-    big = k + 1
-    for v in verts:
-        i = idx[v]
-        for w in iter_bits(g.adj[v] & mask):
-            j = idx[w]
-            cap[2 * i + 1][2 * j] = big
-    source = 2 * idx[s] + 1
-    sink = 2 * idx[t_vertex]
-    flow = 0
-    while flow < need:
-        # BFS augmenting path
-        parent = [-1] * size
-        parent[source] = source
-        queue = [source]
-        while queue and parent[sink] == -1:
-            nxt_queue = []
-            for a in queue:
-                row = cap[a]
-                for b in range(size):
-                    if row[b] > 0 and parent[b] == -1:
-                        parent[b] = a
-                        nxt_queue.append(b)
-            queue = nxt_queue
-        if parent[sink] == -1:
-            break
-        b = sink
-        while b != source:
-            a = parent[b]
-            cap[a][b] -= 1
-            cap[b][a] += 1
-            b = a
-        flow += 1
-    return flow
+    adj = g.adj
+    pred = [0] * g.n
+    saturated = 0
+    sink_bit = 1 << sink
+    for flow in range(need):
+        # via_in[w]: out-copy that reached w's in-copy (w itself: backwards
+        # over w's split arc); via_out[w]: in-copy that reached w's
+        # out-copy (w itself: over w's split arc, else by undoing w -> it)
+        via_in = [0] * g.n
+        via_out = [0] * g.n
+        seen_in = seen_out = frontier = 1 << s
+        while frontier:  # out-copies; reached collects the next in-copies
+            reached = back = frontier & saturated & ~seen_in
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                x = low.bit_length() - 1
+                if low & back:
+                    via_in[x] = x
+                fresh = adj[x] & mask & ~seen_in & ~reached
+                reached |= fresh
+                while fresh:
+                    low = fresh & -fresh
+                    fresh ^= low
+                    via_in[low.bit_length() - 1] = x
+            seen_in |= reached
+            if reached & sink_bit:
+                break
+            # an in-copy goes on over its split arc, or, when saturated,
+            # back over the arc that feeds it
+            while reached:
+                low = reached & -reached
+                reached ^= low
+                w = low.bit_length() - 1
+                x = pred[w] if saturated & low else w
+                if not seen_out >> x & 1:
+                    seen_out |= 1 << x
+                    frontier |= 1 << x
+                    via_out[x] = w
+        else:
+            return flow
+        # walk the path back from the sink's in-copy, flipping its arcs
+        w, at_in = sink, True
+        while at_in or w != s:
+            if at_in:
+                x = via_in[w]
+                if x == w:
+                    saturated &= ~(1 << w)
+                else:
+                    pred[w] = x
+                w, at_in = x, False
+            else:
+                x = via_out[w]
+                if x == w:
+                    saturated |= 1 << w
+                w, at_in = x, True
+    return need
 
 
 def degeneracy(g: Graph) -> tuple[int, tuple[int, ...]]:

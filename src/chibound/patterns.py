@@ -184,7 +184,9 @@ def _make_pattern_cached(spec: PatternSpec) -> Graph:
     if spec.kind not in PATTERN_KINDS:
         raise ValueError(f"unknown pattern kind {spec.kind!r}")
     names, minimums, build = PATTERN_KINDS[spec.kind]
-    values = [spec[name] for name in names]
+    if tuple(name for name, _ in spec.params) != names:
+        raise ValueError(f"invalid pattern {spec}: {spec.kind} takes parameters {names}")
+    values = [value for _, value in spec.params]
     if any(v < m for v, m in zip(values, minimums)):
         rule = ", ".join(f"{name} >= {m}" for name, m in zip(names, minimums))
         raise ValueError(f"invalid pattern {spec}: requires {rule}")

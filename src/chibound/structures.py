@@ -121,12 +121,14 @@ def enumerate_balloons(
     """Exhaustively enumerate the (p,t)-balloons of ``g``.
 
     Paths come in lexicographic sequence order; candidate bodies per
-    path by increasing size then lexicographic.  Bodies are pruned by
-    "connected and contains the path endpoint" before the t-connectivity
-    test.  With ``cap`` the list stops after ``cap`` entries, so a
-    caller that must tell a cut list from a complete one asks for one
-    entry more than it accepts.  Raises :class:`CapExceeded` when the
-    graph is larger than ``max_n``.
+    path by increasing size then lexicographic.  Only the connected sets
+    that contain the path endpoint are generated as bodies
+    (:func:`_connected_bodies`) and given the t-connectivity test; chi
+    of each z-set is computed once per call.  With ``cap`` the list
+    stops after ``cap`` entries, so a caller that must tell a cut list
+    from a complete one asks for one entry more than it accepts.
+    Raises :class:`CapExceeded` when the graph is larger than
+    ``max_n``.
     """
     if p < 1 or t < 1:
         raise ValueError("p and t must be >= 1")
@@ -135,6 +137,7 @@ def enumerate_balloons(
             f"balloon enumeration cap is {max_n} vertices, got {g.n}"
         )
     out: list[Balloon] = []
+    chi_of_z: dict[int, int] = {}
     for path in _induced_paths(g, p):
         tip = path[-1]
         tip_bit = 1 << tip
@@ -147,28 +150,54 @@ def enumerate_balloons(
             base &= ~(g.adj[path[-2]] & ~tip_bit)
         if not base & tip_bit:
             continue
-        others = bits_list(base & ~tip_bit)
         # |Y| >= t+1 is necessary for t-connectivity
-        for size in range(t, len(others) + 1):
-            for combo in combinations(others, size):
-                y_mask = tip_bit | mask_of(combo)
-                if not is_connected_mask(g, y_mask):
-                    continue
-                if not _t_connected_mask(g, y_mask, t):
-                    continue
-                z_mask = y_mask & ~g.adj[tip]
-                value = chi_of_subset(g, iter_bits(z_mask))
-                out.append(
-                    Balloon(
-                        path=path,
-                        body=frozenset(iter_bits(y_mask)),
-                        z_set=frozenset(iter_bits(z_mask)),
-                        value=value,
-                        t=t,
-                    )
+        bodies = [
+            y
+            for y in _connected_bodies(g, base, tip)
+            if y.bit_count() > t and _t_connected_mask(g, y, t)
+        ]
+        bodies.sort(key=_size_lex)
+        for y_mask in bodies:
+            z_mask = y_mask & ~g.adj[tip]
+            value = chi_of_z.get(z_mask)
+            if value is None:
+                value = chi_of_z[z_mask] = chi_of_subset(g, iter_bits(z_mask))
+            out.append(
+                Balloon(
+                    path=path,
+                    body=frozenset(iter_bits(y_mask)),
+                    z_set=frozenset(iter_bits(z_mask)),
+                    value=value,
+                    t=t,
                 )
-                if cap is not None and len(out) >= cap:
-                    return out
+            )
+            if cap is not None and len(out) >= cap:
+                return out
+    return out
+
+
+def _connected_bodies(g: Graph, base: int, tip: int) -> list[int]:
+    """Every connected subset of ``base`` that contains ``tip``, each once.
+
+    Extend/exclude recursion on the rows ``adj & base``: a call holds a
+    connected set and its frontier, and adds the frontier vertices one
+    at a time; a vertex once tried is excluded from the later branches.
+    """
+    adj = g.adj
+    out: list[int] = []
+
+    def grow(y: int, frontier: int, excluded: int) -> None:
+        out.append(y)
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            grown = y | low
+            reach = (frontier | adj[low.bit_length() - 1] & base) & ~grown & ~excluded
+            grow(grown, reach, excluded)
+            excluded |= low
+
+    tip_bit = 1 << tip
+    grow(tip_bit, adj[tip] & base & ~tip_bit, 0)
     return out
 
 
@@ -284,28 +313,52 @@ def minimal_cutsets(
     """All vertex sets X whose removal disconnects ``g`` such that every
     member of X has a neighbor in every remaining component.
 
-    Raises on disconnected input, on graphs above ``max_n`` and when the
-    result would exceed ``cap``.
+    These are exactly the minimal separators all of whose components
+    are full, so they are picked from the minimal separators generated
+    by Berry, Bordat & Cogis (2000): N(C) for each component C of
+    G - N[v], closed under S -> N(C) for each x in S and each component
+    C of G - (S + N(x)).  The list comes by increasing size then
+    lexicographic.  Raises on disconnected input, on graphs above
+    ``max_n`` and when the result would exceed ``cap``.
     """
     if g.n > max_n:
         raise CapExceeded(f"cutset enumeration cap is {max_n} vertices, got {g.n}")
     full = g.full_mask()
     if not is_connected_mask(g, full) or g.n < 2:
         raise ValueError("minimal_cutsets requires a connected graph")
-    out: list[frozenset[int]] = []
-    for size in range(1, g.n - 1):
-        for combo in combinations(range(g.n), size):
-            x_mask = mask_of(combo)
-            comp_masks = components_masks(g, full & ~x_mask)
-            if len(comp_masks) < 2:
-                continue
-            if all(
-                all(g.adj[x] & comp for comp in comp_masks) for x in combo
-            ):
-                if cap is not None and len(out) >= cap:
-                    raise CapExceeded(f"more than {cap} minimal cutsets")
-                out.append(frozenset(combo))
-    return out
+
+    def separators_beside(removed: int) -> list[int]:
+        return [_boundary(g, comp) for comp in components_masks(g, full & ~removed)]
+
+    found = set()
+    for v in range(g.n):
+        found.update(separators_beside(g.adj[v] | 1 << v))
+    todo = list(found)
+    while todo:
+        s_mask = todo.pop()
+        for x in iter_bits(s_mask):
+            for sep in separators_beside(s_mask | g.adj[x]):
+                if sep not in found:
+                    found.add(sep)
+                    todo.append(sep)
+    out = [s_mask for s_mask in found if set(separators_beside(s_mask)) == {s_mask}]
+    if cap is not None and len(out) > cap:
+        raise CapExceeded(f"more than {cap} minimal cutsets")
+    out.sort(key=_size_lex)
+    return [frozenset(iter_bits(s_mask)) for s_mask in out]
+
+
+def _size_lex(mask: int) -> tuple[int, list[int]]:
+    """Sort key: by size, then lexicographic on the sorted members."""
+    return mask.bit_count(), bits_list(mask)
+
+
+def _boundary(g: Graph, mask: int) -> int:
+    """N(mask): the vertices outside ``mask`` with a neighbor in it."""
+    out = 0
+    for v in iter_bits(mask):
+        out |= g.adj[v]
+    return out & ~mask
 
 
 # ---------------------------------------------------------------------------

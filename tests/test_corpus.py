@@ -311,6 +311,20 @@ class TestGrammar:
         assert spec.filters[0].family == (PatternSpec.cycle(4), PatternSpec.flag(2))
         assert spec.filters[1].family == (PatternSpec.bplus(2, 2, 3),)
 
+    def test_corpus_round_trip(self):
+        for text in [
+            "exhaustive:n=4",
+            "exhaustive:n=1..7,dedup=0",
+            "random:n=8,p=0.25,count=50,seed=9",
+            "exhaustive:n=4,filters=H:p=2",
+            "exhaustive:n=1..9,filters=H:p=3+free:bplus:p=2,k=2,t=3",
+            "exhaustive:n=1..5,filters=free:cycle:k=4+free:flag:p=2",
+            "exhaustive:n=1..5,filters=nosub:kdt:d=1,t=5",
+        ]:
+            spec = parse_corpus_spec(text)
+            assert str(spec) == text
+            assert parse_corpus_spec(str(spec)) == spec
+
     def test_corpus_random(self):
         spec = parse_corpus_spec("random:n=8,p=0.25,count=50,seed=9")
         assert spec.mode == "random" and spec.edge_prob == 0.25 and spec.seed == 9

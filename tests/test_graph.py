@@ -1,8 +1,10 @@
 import random
 
+import networkx as nx
 import pytest
 
 from chibound.graph import (
+    _t_connected_mask,
     bfs_layers,
     build_graph,
     components,
@@ -10,6 +12,7 @@ from chibound.graph import (
     degeneracy,
     induced,
     is_t_connected,
+    iter_bits,
     layers,
 )
 
@@ -228,6 +231,44 @@ class TestTConnectivity:
             g = complete_graph(n)
             for t in range(1, n + 1):
                 assert is_t_connected(g, t) == brute_force_is_t_connected(g, t)
+
+    def test_cut_vertex_of_minimum_degree(self):
+        # vertex 0 has minimum degree and is the only cut vertex: the cut
+        # is seen only between nonadjacent neighbors of 0, one in each K5
+        left, right = range(1, 6), range(6, 11)
+        edges = [(u, v) for side in (left, right) for u in side for v in side if u < v]
+        edges += [(0, 1), (0, 2), (0, 6), (0, 7)]
+        g = build_graph(11, edges)
+        assert is_t_connected(g, 1)
+        assert not is_t_connected(g, 2)
+        assert not brute_force_is_t_connected(g, 2)
+
+    def test_masks_match_brute_force_cuts(self):
+        # induced subgraphs on random masks, without relabeling, against
+        # cut enumeration on the relabeled induced subgraph
+        rng = random.Random(29)
+        for _ in range(300):
+            n = rng.randint(2, 12)
+            g = random_graph(n, rng.choice([0.3, 0.5, 0.7, 0.9]), rng)
+            some = rng.getrandbits(n) | 1 << rng.randrange(n)
+            mask = rng.choice([g.full_mask(), some])
+            sub, _ = induced(g, iter_bits(mask))
+            for t in range(1, 6):
+                expected = brute_force_is_t_connected(sub, t)
+                assert _t_connected_mask(g, mask, t) == expected, (g.edges(), mask, t)
+
+    def test_matches_networkx_node_connectivity(self):
+        # t up to 10 on up to 40 vertices: a method exponential in t
+        # would not finish
+        rng = random.Random(31)
+        for _ in range(12):
+            n = rng.randint(20, 40)
+            p = rng.choice([0.3, 0.5, 0.7, 0.9])
+            nx_graph = nx.gnp_random_graph(n, p, seed=rng.randrange(10**6))
+            g = build_graph(n, nx_graph.edges())
+            kappa = nx.node_connectivity(nx_graph)
+            for t in range(1, 11):
+                assert is_t_connected(g, t) == (kappa >= t), (n, p, t)
 
 
 class TestDegeneracy:

@@ -120,6 +120,15 @@ class TestConstructors:
         ]:
             with pytest.raises(ValueError):
                 make_pattern(bad)
+        # hand-built specs must carry exactly the kind's parameter names
+        for bad in [
+            PatternSpec("path", ()),
+            PatternSpec("path", (("k", 4), ("z", 9))),
+            PatternSpec("broom", (("t", 2),)),
+            PatternSpec("broom", (("k", 2), ("t", 2))),
+        ]:
+            with pytest.raises(ValueError, match="takes parameters"):
+                make_pattern(bad)
 
 
 class TestFindInduced:

@@ -120,6 +120,19 @@ class TestBalloonOracle:
                 got = {(b.path, b.body) for b in enumerate_balloons(g, p, t)}
                 assert got == expected, (g.edges(), p, t)
 
+    def test_output_order(self):
+        # paths in lexicographic sequence order; within a path, bodies by
+        # increasing size then lexicographic on the sorted members
+        rng = random.Random(83)
+        for _ in range(12):
+            g = random_graph(rng.randint(5, 9), rng.choice([0.4, 0.6]), rng)
+            for p, t in [(1, 1), (1, 2), (2, 2), (3, 1)]:
+                keys = [
+                    (b.path, len(b.body), sorted(b.body))
+                    for b in enumerate_balloons(g, p, t)
+                ]
+                assert all(a < b for a, b in zip(keys, keys[1:])), (g.edges(), p, t)
+
     def test_every_balloon_revalidates(self):
         rng = random.Random(73)
         for _ in range(12):
@@ -242,16 +255,17 @@ class TestMinimalCutsets:
             minimal_cutsets(path_graph(6), cap=1)
 
     def test_criterion_cross_check(self):
-        # independent filter over all subsets with set arithmetic
+        # independent filter over all subsets with set arithmetic; the
+        # scan runs by size then lexicographic, the documented order
         rng = random.Random(97)
-        for _ in range(15):
-            n = rng.randint(3, 7)
-            g = random_graph(n, 0.5, rng)
+        for _ in range(40):
+            n = rng.randint(3, 10)
+            g = random_graph(n, rng.choice([0.3, 0.5]), rng)
             from chibound.graph import components as comps_of
 
             if len(comps_of(g)) != 1:
                 continue
-            expected = set()
+            expected = []
             for size in range(1, n - 1):
                 for combo in combinations(range(n), size):
                     rest = [v for v in range(n) if v not in combo]
@@ -262,8 +276,8 @@ class TestMinimalCutsets:
                         all(any(g.has_edge(x, y) for y in part) for part in sub_parts)
                         for x in combo
                     ):
-                        expected.add(frozenset(combo))
-            assert set(minimal_cutsets(g)) == expected
+                        expected.append(frozenset(combo))
+            assert minimal_cutsets(g) == expected, g.edges()
 
 
 def _parts_on(g, vertices):
