@@ -219,7 +219,12 @@ def canonical_key(g: Graph) -> tuple[int, tuple[int, ...]]:
 
 def canonical_graph(g: Graph) -> Graph:
     """The canonical representative of g's isomorphism class."""
-    n, cols = canonical_key(g)
+    return _graph_from_key(canonical_key(g))
+
+
+def _graph_from_key(key: tuple[int, tuple[int, ...]]) -> Graph:
+    """The graph whose upper-triangle columns are the key's."""
+    n, cols = key
     edges = []
     for j in range(1, n):
         col = cols[j - 1]
@@ -397,7 +402,7 @@ def _enumerate_canonical(spec: CorpusSpec) -> Iterator[Graph]:
                     continue
                 key = canonical_key(child)
                 if key not in nxt:
-                    nxt[key] = canonical_graph(child)
+                    nxt[key] = _graph_from_key(key)
         level = nxt
         if n >= spec.n_min:
             for key in sorted(nxt):

@@ -236,14 +236,103 @@ def _pattern_order(h: Graph, first: int | None = None) -> list[int]:
     return order
 
 
-def _neighbor_degree_profile(g: Graph, v: int) -> list[int]:
-    return sorted((g.degree(w) for w in iter_bits(g.adj[v])), reverse=True)
+# One search step: (pattern vertex, its degree, the earlier depths holding
+# its neighbours, the earlier depths holding its non-neighbours).
+_Step = tuple[int, int, tuple[int, ...], tuple[int, ...]]
 
 
-def _profile_dominates(host: list[int], pat: list[int]) -> bool:
-    if len(host) < len(pat):
-        return False
-    return all(host[i] >= pat[i] for i in range(len(pat)))
+def _steps(h: Graph, order: list[int]) -> tuple[_Step, ...]:
+    """The search steps that place ``h``'s vertices in ``order``."""
+    out = []
+    for depth, x in enumerate(order):
+        earlier = range(depth)
+        nbrs = tuple(j for j in earlier if h.has_edge(x, order[j]))
+        non = tuple(j for j in earlier if not h.has_edge(x, order[j]))
+        out.append((x, h.degree(x), nbrs, non))
+    return tuple(out)
+
+
+@lru_cache(maxsize=256)
+def _plans(h: Graph, anchored: bool) -> tuple[tuple[_Step, ...], ...]:
+    """Search plans for ``h``: the unanchored plan alone, or with
+    ``anchored`` one plan per orbit of Aut(h), first step the orbit's
+    smallest vertex, in ascending order.
+
+    Orbits come from anchored search of ``h`` in ``h``: an induced
+    embedding of ``h`` into itself is an automorphism.
+    """
+    if not anchored:
+        return (_steps(h, _pattern_order(h)),)
+    at_least = _degree_masks(h, h.max_degree())
+    plans = []
+    found = 0
+    for x in range(h.n):
+        if found >> x & 1:
+            continue
+        plan = _steps(h, _pattern_order(h, first=x))
+        plans.append(plan)
+        for y in range(x + 1, h.n):
+            if not found >> y & 1 and _embed(h.adj, plan, True, at_least, 1 << y):
+                found |= 1 << y
+    return tuple(plans)
+
+
+def _degree_masks(g: Graph, top: int) -> list[int]:
+    """``at_least[d]`` is the set of vertices of degree at least d, d <= top."""
+    at_least = [0] * (top + 1)
+    for v, row in enumerate(g.adj):
+        at_least[min(row.bit_count(), top)] |= 1 << v
+    for d in range(top, 0, -1):
+        at_least[d - 1] |= at_least[d]
+    return at_least
+
+
+def _embed(
+    adj: tuple[int, ...],
+    plan: tuple[_Step, ...],
+    induced: bool,
+    at_least: list[int],
+    first: int,
+) -> tuple[int, ...] | None:
+    """Depth-first search along ``plan``, trying candidates in ascending
+    host id; ``first`` is the candidate set of depth 0.
+
+    Candidates at a depth are a mask: vertices of large enough degree,
+    adjacent to the images of placed neighbours and (induced) not
+    adjacent to the images of placed non-neighbours, minus used ones.
+    """
+    k = len(plan)
+    image = [0] * k
+    rest = [0] * k
+    used = 0
+    depth = 0
+    cands = first
+    while True:
+        if cands:
+            low = cands & -cands
+            rest[depth] = cands ^ low
+            image[depth] = low.bit_length() - 1
+            used |= low
+            depth += 1
+            if depth == k:
+                break
+            _, d, nbrs, non = plan[depth]
+            cands = at_least[d] & ~used
+            for j in nbrs:
+                cands &= adj[image[j]]
+            if induced:
+                for j in non:
+                    cands &= ~adj[image[j]]
+        elif depth:
+            depth -= 1
+            used ^= 1 << image[depth]
+            cands = rest[depth]
+        else:
+            return None
+    mapping = [0] * k
+    for step, w in zip(plan, image):
+        mapping[step[0]] = w
+    return tuple(mapping)
 
 
 def find_occurrence(
@@ -254,89 +343,32 @@ def find_occurrence(
 ) -> Occurrence | None:
     """Find one placement of ``h`` in ``g``, or ``None``.
 
-    Backtracking over a fixed connectivity-first pattern order with
-    degree and neighbor-degree-profile pruning; host candidates are
-    tried in ascending id, so the result is deterministic.  With
-    ``require_vertex`` the image must contain that host vertex.
+    Backtracking over a fixed connectivity-first pattern order; the
+    candidates for each pattern vertex are a bitset of host vertices of
+    large enough degree that agree with every placed pattern vertex.
+    Host candidates are tried in ascending id, so the result is
+    deterministic.  With ``require_vertex`` the image must contain that
+    host vertex: it carries the smallest pattern vertex that admits an
+    occurrence through it, and only one vertex per orbit of Aut(h) is
+    tried.
     """
     if h.n < 1:
         raise ValueError("pattern must have at least one vertex")
+    anchored = require_vertex is not None
+    if anchored and not (isinstance(require_vertex, int) and 0 <= require_vertex < g.n):
+        raise ValueError(
+            f"require_vertex {require_vertex!r} is not a vertex of a graph with n={g.n}"
+        )
     if h.n > g.n:
         return None
-
-    host_profiles = [_neighbor_degree_profile(g, v) for v in range(g.n)]
-    pat_profiles = [_neighbor_degree_profile(h, x) for x in range(h.n)]
-
-    def attempt(order: list[int], preassigned: dict[int, int]) -> tuple[int, ...] | None:
-        image = [-1] * h.n
-        used = 0
-        placed_pattern = 0
-        for x, w in preassigned.items():
-            image[x] = w
-            used |= 1 << w
-            placed_pattern |= 1 << x
-
-        def feasible(x: int, w: int) -> bool:
-            if g.degree(w) < h.degree(x):
-                return False
-            if not _profile_dominates(host_profiles[w], pat_profiles[x]):
-                return False
-            for y in iter_bits(placed_pattern):
-                if y == x:
-                    continue
-                if h.has_edge(x, y):
-                    if not g.has_edge(w, image[y]):
-                        return False
-                elif induced and g.has_edge(w, image[y]):
-                    return False
-            return True
-
-        def extend(depth: int) -> bool:
-            nonlocal used, placed_pattern
-            if depth == len(order):
-                return True
-            x = order[depth]
-            if image[x] >= 0:
-                return extend(depth + 1)
-            placed_nbrs = h.adj[x] & placed_pattern
-            if placed_nbrs:
-                cands = g.full_mask()
-                for y in iter_bits(placed_nbrs):
-                    cands &= g.adj[image[y]]
-                cands &= ~used
-            else:
-                cands = g.full_mask() & ~used
-            for w in iter_bits(cands):
-                if feasible(x, w):
-                    image[x] = w
-                    used |= 1 << w
-                    placed_pattern |= 1 << x
-                    if extend(depth + 1):
-                        return True
-                    image[x] = -1
-                    used &= ~(1 << w)
-                    placed_pattern &= ~(1 << x)
-            return False
-
-        if extend(0):
-            return tuple(image)
-        return None
-
-    if require_vertex is None:
-        order = _pattern_order(h)
-        image = attempt(order, {})
-        return Occurrence(image, induced) if image is not None else None
-
-    # anchored search: the required host vertex must carry some pattern vertex
-    for x in range(h.n):
-        if g.degree(require_vertex) < h.degree(x):
-            continue
-        if not _profile_dominates(host_profiles[require_vertex], pat_profiles[x]):
-            continue
-        order = _pattern_order(h, first=x)
-        image = attempt(order, {x: require_vertex})
-        if image is not None:
-            return Occurrence(image, induced)
+    at_least = _degree_masks(g, h.max_degree())
+    for plan in _plans(h, anchored):
+        first = at_least[plan[0][1]]
+        if anchored:
+            first &= 1 << require_vertex
+        mapping = _embed(g.adj, plan, induced, at_least, first)
+        if mapping is not None:
+            return Occurrence(mapping, induced)
     return None
 
 

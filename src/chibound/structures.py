@@ -276,11 +276,14 @@ def enumerate_bicliques(g: Graph, t: int, cap: int | None = None) -> list[Bicliq
     out: list[Biclique] = []
     if g.n < t:
         return out
+    chi_of_common: dict[int, int] = {}
     for combo in combinations(range(g.n), t):
         common = g.full_mask()
         for v in combo:
             common &= g.adj[v]
-        value = chi_of_subset(g, iter_bits(common))
+        value = chi_of_common.get(common)
+        if value is None:
+            value = chi_of_common[common] = chi_of_subset(g, iter_bits(common))
         out.append(
             Biclique(
                 x_set=frozenset(combo),

@@ -8,6 +8,7 @@ color assignments, explicit subset cuts.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from itertools import combinations, permutations
 
 import numpy as np
@@ -17,6 +18,21 @@ from chibound.graph import Graph, build_graph
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    return build_graph(n, edges)
+
+
+def planted_graph(h: Graph, n: int, p: float, rng: random.Random) -> Graph:
+    """A host on ``n`` vertices holding ``h`` as an induced subgraph on
+    random vertices; every other pair is an edge with probability ``p``."""
+    image = rng.sample(range(n), h.n)
+    inside = set(image)
+    edges = [(image[i], image[j]) for i, j in h.edges()]
+    edges += [
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if not (u in inside and v in inside) and rng.random() < p
+    ]
     return build_graph(n, edges)
 
 
@@ -64,6 +80,25 @@ def brute_force_occurs(g: Graph, h: Graph, induced: bool) -> bool:
         return False
     if h.n == 0:
         return True
+    return len(_valid_maps(g, h, induced)) > 0
+
+
+def brute_force_occurs_at(g: Graph, h: Graph, v: int, induced: bool) -> bool:
+    """Whether some occurrence of ``h`` in ``g`` uses host vertex ``v``."""
+    return bool(brute_force_carriers(g, h, v, induced))
+
+
+def brute_force_carriers(g: Graph, h: Graph, v: int, induced: bool) -> list[int]:
+    """The pattern vertices that some occurrence of ``h`` in ``g`` maps to ``v``."""
+    if h.n > g.n:
+        return []
+    return np.flatnonzero((_valid_maps(g, h, induced) == v).any(axis=0)).tolist()
+
+
+@lru_cache(maxsize=64)
+def _valid_maps(g: Graph, h: Graph, induced: bool) -> np.ndarray:
+    """Every injective map of ``h`` into ``g`` that keeps edges (and, with
+    ``induced``, non-edges), one row per map, ``row[i]`` the image of i."""
     a = adjacency_matrix(g)
     perms = _perm_array(g.n, h.n)
     valid = np.ones(len(perms), dtype=bool)
@@ -75,8 +110,21 @@ def brute_force_occurs(g: Graph, h: Graph, induced: bool) -> bool:
             elif induced:
                 valid &= ~host_adj
             if not valid.any():
-                return False
-    return bool(valid.any())
+                return perms[valid]
+    return perms[valid]
+
+
+def brute_force_orbits(h: Graph) -> list[frozenset[int]]:
+    """Orbits of Aut(h) from every vertex permutation, by smallest member."""
+    a = adjacency_matrix(h)
+    perms = _perm_array(h.n, h.n)
+    auto = np.ones(len(perms), dtype=bool)
+    for i in range(h.n):
+        for j in range(i + 1, h.n):
+            auto &= a[perms[:, i], perms[:, j]] == a[i, j]
+    autos = perms[auto]
+    orbits = {frozenset(autos[:, x].tolist()) for x in range(h.n)}
+    return sorted(orbits, key=min)
 
 
 def brute_force_chromatic(g: Graph) -> int:

@@ -1,11 +1,16 @@
 import random
+import re
 from itertools import combinations
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
+from networkx.algorithms.isomorphism import GraphMatcher
 
 from chibound.graph import build_graph, layers
 from chibound.patterns import (
     PatternSpec,
+    _plans,
     find_induced,
     find_occurrence,
     find_subgraph,
@@ -16,10 +21,14 @@ from chibound.patterns import (
 
 from helpers import (
     brute_force_occurs,
+    brute_force_carriers,
+    brute_force_occurs_at,
+    brute_force_orbits,
     complete_graph,
     cycle_graph,
     path_graph,
     petersen_graph,
+    planted_graph,
     random_graph,
 )
 
@@ -254,3 +263,88 @@ class TestOracleAgreement:
             for v in hit_any:
                 occ = find_occurrence(g, h, induced=True, require_vertex=v)
                 assert v in occ.mapping and validate_occurrence(g, h, occ)
+
+    def test_anchored_against_brute_force(self):
+        # every anchor of every pattern, so a wrongly skipped orbit or a
+        # wrong anchor choice shows as a missed occurrence
+        rng = random.Random(77)
+        hosts = [random_graph(5 + i % 4, rng.choice([0.3, 0.5, 0.7]), rng) for i in range(12)]
+        for spec in ANCHOR_ZOO:
+            h = make_pattern(spec)
+            planted = [planted_graph(h, rng.randint(h.n, 8), 0.5, rng) for _ in range(3)]
+            for g in hosts + planted:
+                for induced_mode in (True, False):
+                    for v in range(g.n):
+                        occ = find_occurrence(g, h, induced=induced_mode, require_vertex=v)
+                        expected = brute_force_occurs_at(g, h, v, induced_mode)
+                        assert (occ is not None) == expected, (g.edges(), str(spec), induced_mode, v)
+                        if occ is not None:
+                            assert v in occ.mapping and validate_occurrence(g, h, occ)
+                            # v carries the smallest pattern vertex it can carry
+                            carriers = brute_force_carriers(g, h, v, induced_mode)
+                            assert occ.mapping.index(v) == carriers[0]
+
+    @pytest.mark.parametrize("bad", [4, -1, 1.0])
+    def test_require_vertex_out_of_range(self, bad):
+        message = rf"require_vertex {re.escape(repr(bad))}\b.*n=4"
+        with pytest.raises(ValueError, match=message):
+            find_occurrence(cycle_graph(4), path_graph(3), require_vertex=bad)
+
+
+ANCHOR_ZOO = ZOO_SMALL + [PatternSpec.flag(3), PatternSpec.bplus(2, 2, 3)]
+
+# at least one pattern of every kind, all with at most 8 vertices
+ORBIT_ZOO = ZOO_SMALL + [
+    PatternSpec.path(1),
+    PatternSpec.path(5),
+    PatternSpec.cycle(6),
+    PatternSpec.complete(1),
+    PatternSpec.broom(1, 1),
+    PatternSpec.broom(3, 1),
+    PatternSpec.flag(1),
+    PatternSpec.flag(3),
+    PatternSpec.two_arm_star(5, 1),
+    PatternSpec.two_arm_star(5, 2),
+    PatternSpec.bplus(2, 2, 3),
+    PatternSpec.kdt(1, 3),
+    PatternSpec.kdt(2, 4),
+    PatternSpec.biclique(1, 1),
+    PatternSpec.uniform_tree(2, 1),
+    PatternSpec.uniform_tree(3, 1),
+]
+
+
+@pytest.mark.parametrize("spec", ORBIT_ZOO, ids=str)
+def test_anchor_plans_cover_one_vertex_per_orbit(spec):
+    h = make_pattern(spec)
+    anchors = [plan[0][0] for plan in _plans(h, True)]
+    assert anchors == [min(orbit) for orbit in brute_force_orbits(h)]
+
+
+def _to_networkx(g) -> nx.Graph:
+    out = nx.Graph()
+    out.add_nodes_from(range(g.n))
+    out.add_edges_from(g.edges())
+    return out
+
+
+@st.composite
+def _hosts(draw, max_n: int = 12):
+    n = draw(st.integers(1, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return build_graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(g=_hosts(), spec=st.sampled_from(ANCHOR_ZOO), induced=st.booleans())
+def test_unanchored_matches_networkx(g, spec, induced):
+    # VF2 (Cordella et al. 2004): subgraph isomorphism is the induced
+    # question, subgraph monomorphism the not-necessarily-induced one
+    h = make_pattern(spec)
+    matcher = GraphMatcher(_to_networkx(g), _to_networkx(h))
+    expected = matcher.subgraph_is_isomorphic() if induced else matcher.subgraph_is_monomorphic()
+    occ = find_occurrence(g, h, induced=induced)
+    assert (occ is not None) == expected
+    if occ is not None:
+        assert validate_occurrence(g, h, occ)
