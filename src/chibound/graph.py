@@ -349,19 +349,37 @@ def _vertex_flow_at_least(g: Graph, mask: int, s: int, sink: int, need: int) -> 
 def degeneracy(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Degeneracy and a matching elimination order.
 
-    Repeatedly removes a minimum-degree vertex (lowest id on ties).  In
-    the returned order every vertex has at most the returned value of
+    Repeatedly removes a minimum-degree vertex, the lowest id on ties.
+    Remaining vertices sit in one bitset per current degree, so the
+    vertex removed is the lowest bit of the lowest non-empty bucket.  Its
+    remaining neighbors move down one bucket, level by level from that
+    minimum degree up, and the next minimum is at most one lower.  In the
+    returned order every vertex has at most the returned value of
     neighbors occurring later.
     """
+    buckets = [0] * (g.n + 1)
+    for v in range(g.n):
+        buckets[g.degree(v)] |= 1 << v
     remaining = g.full_mask()
-    deg = [g.degree(v) for v in range(g.n)]
     order = []
-    best = 0
+    best = d = 0
     for _ in range(g.n):
-        v = min(iter_bits(remaining), key=lambda u: (deg[u], u))
-        best = max(best, deg[v])
+        while not buckets[d]:
+            d += 1
+        low = buckets[d] & -buckets[d]
+        buckets[d] ^= low
+        remaining ^= low
+        v = low.bit_length() - 1
         order.append(v)
-        remaining &= ~(1 << v)
-        for w in iter_bits(g.adj[v] & remaining):
-            deg[w] -= 1
+        best = max(best, d)
+        nbrs = g.adj[v] & remaining
+        t = d
+        while nbrs:
+            moved = buckets[t] & nbrs
+            if moved:
+                buckets[t] ^= moved
+                buckets[t - 1] |= moved
+                nbrs ^= moved
+            t += 1
+        d = max(d - 1, 0)
     return best, tuple(order)

@@ -2,7 +2,10 @@
 
 Everything here is exact: past the configurable size caps the solvers
 refuse instead of approximating, since downstream verification depends
-on true values of chi and omega.
+on true values of chi and omega.  The chromatic number comes from one
+saturation search: its first descent is the greedy upper bound, and
+the same search with a maximum clique precolored refutes each smaller
+color count or finds the optimal witness.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import CapExceeded, Graph, bits_list, induced, iter_bits
+from .graph import CapExceeded, Graph, induced, iter_bits, mask_of
 
 
 @dataclass(frozen=True)
@@ -21,7 +24,11 @@ class Coloring:
     count: int
 
     def is_proper(self, g: Graph) -> bool:
+        """Whether every vertex has a color in ``range(count)``, every
+        color is used and no edge joins two vertices of one color."""
         if len(self.colors) != g.n:
+            return False
+        if any(not 0 <= c < self.count for c in self.colors):
             return False
         for u, v in g.edges():
             if self.colors[u] == self.colors[v]:
@@ -85,97 +92,112 @@ def independence_number(g: Graph) -> tuple[int, frozenset[int]]:
     return size, members
 
 
-def _greedy_dsatur(g: Graph) -> Coloring:
-    """Greedy DSATUR coloring; an upper bound, not necessarily optimal."""
-    n = g.n
-    colors = [-1] * n
-    neighbor_colors = [0] * n
-    for _ in range(n):
-        v = max(
-            (u for u in range(n) if colors[u] < 0),
-            key=lambda u: (neighbor_colors[u].bit_count(), g.degree(u), -u),
-        )
-        c = 0
-        taken = neighbor_colors[v]
-        while taken >> c & 1:
-            c += 1
-        colors[v] = c
-        for w in iter_bits(g.adj[v]):
-            neighbor_colors[w] |= 1 << c
-    count = max(colors) + 1 if n else 0
-    return Coloring(tuple(colors), count)
+def _dsatur(adj: list[int], k: int, clique: list[int]) -> list[int] | None:
+    """Saturation (DSATUR) search for a proper coloring with at most k colors.
 
-
-def _k_colorable(g: Graph, k: int, clique: Iterable[int]) -> Coloring | None:
-    """Exact k-colorability via saturation-ordered backtracking.
-
-    A maximum clique is precolored and new colors are only introduced in
-    first-use order, which breaks color symmetry.
+    Vertices are ranks: degree descending, then id ascending, so the
+    DSATUR choice (most distinct neighbor colors, then highest degree,
+    then lowest id) is the lowest bit of the highest non-empty
+    saturation bucket.  ``clique[i]`` is precolored i, colors are tried
+    in ascending order and a new color is opened only as the next unused
+    one, which breaks color symmetry.  ``near[c]`` is the union of the
+    neighborhoods of color class c, so coloring v with c raises the
+    saturation of exactly ``adj[v] & uncolored & ~near[c]``.  Returns the
+    color of every rank, or None when no such coloring exists.
     """
-    n = g.n
-    colors = [-1] * n
-    neighbor_colors = [0] * n
-    clique_list = sorted(clique)[:k]
-    for i, v in enumerate(clique_list):
+    colors = [-1] * len(adj)
+    near = [0] * k
+    uncolored = (1 << len(adj)) - 1 & ~mask_of(clique)
+    buckets = [uncolored] + [0] * (k + 1)
+    for i, v in enumerate(clique):
         colors[v] = i
-        for w in iter_bits(g.adj[v]):
-            neighbor_colors[w] |= 1 << i
-    uncolored = n - len(clique_list)
+        near[i] = adj[v]
+        for t in range(i, -1, -1):
+            moved = buckets[t] & adj[v]
+            buckets[t] ^= moved
+            buckets[t + 1] |= moved
 
-    def assign(remaining: int, max_used: int) -> bool:
-        if remaining == 0:
+    def assign(buckets: list[int], uncolored: int, used: int) -> bool:
+        if not uncolored:
             return True
-        v = -1
-        v_key = None
-        for u in range(n):
-            if colors[u] >= 0:
+        s = used
+        while not buckets[s]:
+            s -= 1
+        low = buckets[s] & -buckets[s]
+        v = low.bit_length() - 1
+        uncolored ^= low
+        buckets[s] ^= low
+        adj_v = adj[v]
+        nbrs = adj_v & uncolored
+        for c in range(min(k, used + 1)):
+            old = near[c]
+            if old >> v & 1:
                 continue
-            key = (neighbor_colors[u].bit_count(), g.degree(u), -u)
-            if v_key is None or key > v_key:
-                v, v_key = u, key
-        limit = min(k, max_used + 2)
-        allowed = ~neighbor_colors[v] & ((1 << limit) - 1)
-        for c in iter_bits(allowed):
             colors[v] = c
-            touched = []
-            for w in iter_bits(g.adj[v]):
-                if not neighbor_colors[w] >> c & 1:
-                    neighbor_colors[w] |= 1 << c
-                    touched.append(w)
-            if assign(remaining - 1, max(max_used, c)):
+            raised = nbrs & ~old
+            child = buckets[:]
+            t = used
+            while raised:
+                moved = child[t] & raised
+                if moved:
+                    child[t] ^= moved
+                    child[t + 1] |= moved
+                    raised ^= moved
+                t -= 1
+            if child[k]:
+                continue  # a vertex sees all k colors: it would be picked next and fail
+            near[c] = old | adj_v
+            if assign(child, uncolored, max(used, c + 1)):
                 return True
-            colors[v] = -1
-            for w in touched:
-                neighbor_colors[w] &= ~(1 << c)
+            near[c] = old
         return False
 
-    if assign(uncolored, len(clique_list) - 1):
-        return Coloring(tuple(colors), max(colors) + 1)
-    return None
+    return colors if assign(buckets, uncolored, len(clique)) else None
 
 
 def chromatic_number(g: Graph, max_n: int = 40) -> tuple[int, Coloring]:
     """Exact chromatic number with a witnessing proper coloring.
 
-    Iterative deepening on k between the clique lower bound and a greedy
-    DSATUR upper bound.  Refuses graphs above ``max_n`` vertices rather
-    than returning a heuristic answer.
+    One saturation search on bitset buckets (:func:`_dsatur`) gives both
+    bounds.  Its first descent with n colors is the greedy upper bound.
+    Then, with a maximum clique precolored (its i-th lowest id gets
+    color i), it runs for each k from omega upwards: each failure is an
+    exhaustive refutation and the first success is optimal.  Vertices
+    are chosen by most distinct neighbor colors, then highest degree,
+    then lowest id, and colors are tried in ascending order; this fixes
+    the witness.  Refuses graphs above ``max_n`` vertices rather than
+    returning a heuristic answer.
     """
-    if g.n > max_n:
-        raise CapExceeded(f"chromatic_number cap is {max_n} vertices, got {g.n}")
-    if g.n == 0:
+    n = g.n
+    if n > max_n:
+        raise CapExceeded(f"chromatic_number cap is {max_n} vertices, got {n}")
+    if n == 0:
         return 0, Coloring((), 0)
     if g.edge_count() == 0:
-        return 1, Coloring((0,) * g.n, 1)
+        return 1, Coloring((0,) * n, 1)
     lb, clique = clique_number(g)
-    ub_coloring = _greedy_dsatur(g)
-    if lb == ub_coloring.count:
-        return lb, ub_coloring
-    for k in range(lb, ub_coloring.count):
-        witness = _k_colorable(g, k, clique)
-        if witness is not None:
-            return k, witness
-    return ub_coloring.count, ub_coloring
+    order = sorted(range(n), key=lambda u: -g.adj[u].bit_count())  # stable: ids ascend
+    rank = [0] * n
+    for r, u in enumerate(order):
+        rank[u] = r
+    adj = [0] * n
+    for u in range(n):
+        bit = 1 << rank[u]
+        row = g.adj[u]
+        while row:
+            low = row & -row
+            adj[rank[low.bit_length() - 1]] |= bit
+            row ^= low
+
+    def witness(colors: list[int]) -> Coloring:
+        return Coloring(tuple(map(colors.__getitem__, rank)), max(colors) + 1)
+
+    ub = witness(_dsatur(adj, n, []))
+    for k in range(lb, ub.count):
+        colors = _dsatur(adj, k, [rank[u] for u in sorted(clique)])
+        if colors is not None:
+            return k, witness(colors)
+    return ub.count, ub
 
 
 def chi_of_subset(g: Graph, vertices: Iterable[int], max_n: int = 40) -> int:

@@ -428,6 +428,7 @@ def _class_l_find(
     i: int,
     omega: int,
 ) -> ClassCertificate | None:
+    chi_of_f: dict[int, int] = {}
     for b1 in comps:
         n_mask = g.adj[v] & b1
         if not n_mask:
@@ -437,7 +438,9 @@ def _class_l_find(
             for f_mask in f_comps:
                 if not g.adj[y] & f_mask:
                     continue
-                chi_f = chi_of_subset(g, iter_bits(f_mask))
+                chi_f = chi_of_f.get(f_mask)
+                if chi_f is None:
+                    chi_f = chi_of_f[f_mask] = chi_of_subset(g, iter_bits(f_mask))
                 if chi_f <= threshold:
                     continue
                 if x_complete:

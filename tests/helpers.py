@@ -8,10 +8,12 @@ color assignments, explicit subset cuts.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from functools import lru_cache
 from itertools import combinations, permutations
 
 import numpy as np
+from hypothesis import strategies as st
 
 from chibound.graph import Graph, build_graph
 
@@ -34,6 +36,26 @@ def planted_graph(h: Graph, n: int, p: float, rng: random.Random) -> Graph:
         if not (u in inside and v in inside) and rng.random() < p
     ]
     return build_graph(n, edges)
+
+
+@st.composite
+def graphs(draw, max_n: int = 12, min_n: int = 1) -> Graph:
+    """Hypothesis strategy: a labelled graph on ``min_n..max_n`` vertices."""
+    n = draw(st.integers(min_n, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return build_graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+def mycielskian(g: Graph) -> Graph:
+    """Mycielski's construction: a copy u_i of each vertex v_i, joined to
+    the neighbors of v_i, and one apex joined to every copy.  It keeps a
+    triangle-free graph triangle-free and raises chi by exactly one."""
+    n = g.n
+    edges = list(g.edges())
+    edges += [(u, n + v) for u, v in g.edges()] + [(v, n + u) for u, v in g.edges()]
+    edges += [(n + v, 2 * n) for v in range(n)]
+    return build_graph(2 * n + 1, edges)
 
 
 def path_graph(k: int) -> Graph:
@@ -158,6 +180,53 @@ def brute_force_chromatic(g: Graph) -> int:
             if ok.any():
                 return k
     return n
+
+
+def reference_degeneracy(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """Plain peel: remove a vertex of minimum remaining degree, the lowest
+    id on ties; the degeneracy is the largest degree seen at removal."""
+    left = set(range(g.n))
+    best, order = 0, []
+    while left:
+        degree = {u: sum(1 for w in g.neighbors(u) if w in left) for u in left}
+        v = min(left, key=lambda u: (degree[u], u))
+        best = max(best, degree[v])
+        order.append(v)
+        left.remove(v)
+    return best, tuple(order)
+
+
+def reference_dsatur(
+    g: Graph, k: int, clique: Sequence[int] = ()
+) -> tuple[int, ...] | None:
+    """Plain DSATUR backtracking, the witness oracle for ``chromatic_number``.
+
+    ``clique[i]`` is precolored i.  Each step colors the uncolored vertex
+    with the most distinct neighbor colors, then the highest degree, then
+    the lowest id, trying colors ascending below ``k`` and opening at most
+    one new color.  Returns the colors, or None when none fit in ``k``.
+    """
+    colors = [-1] * g.n
+    for i, v in enumerate(clique):
+        colors[v] = i
+
+    def seen(u: int) -> set[int]:
+        return {colors[w] for w in g.neighbors(u)} - {-1}
+
+    def assign() -> bool:
+        free = [u for u in range(g.n) if colors[u] < 0]
+        if not free:
+            return True
+        v = max(free, key=lambda u: (len(seen(u)), g.degree(u), -u))
+        for c in range(min(k, max(colors) + 2)):
+            if c not in seen(v):
+                colors[v] = c
+                if assign():
+                    return True
+        colors[v] = -1
+        return False
+
+    return tuple(colors) if assign() else None
 
 
 def brute_force_clique(g: Graph) -> int:

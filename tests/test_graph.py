@@ -2,6 +2,7 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
 
 from chibound.graph import (
     _t_connected_mask,
@@ -21,8 +22,10 @@ from helpers import (
     brute_force_is_t_connected,
     complete_graph,
     cycle_graph,
+    graphs,
     path_graph,
     random_graph,
+    reference_degeneracy,
 )
 
 
@@ -295,3 +298,14 @@ class TestDegeneracy:
             for v in order:
                 later = sum(1 for w in g.neighbors(v) if position[w] > position[v])
                 assert later <= d
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(g=graphs(max_n=14, min_n=0))
+    def test_matches_reference_peel(self, g):
+        d, order = degeneracy(g)
+        assert (d, order) == reference_degeneracy(g)
+        position = {v: i for i, v in enumerate(order)}
+        later = [
+            sum(1 for w in g.neighbors(v) if position[w] > position[v]) for v in order
+        ]
+        assert max(later, default=0) == d

@@ -26,6 +26,7 @@ from helpers import (
     brute_force_orbits,
     complete_graph,
     cycle_graph,
+    graphs,
     path_graph,
     petersen_graph,
     planted_graph,
@@ -328,16 +329,8 @@ def _to_networkx(g) -> nx.Graph:
     return out
 
 
-@st.composite
-def _hosts(draw, max_n: int = 12):
-    n = draw(st.integers(1, max_n))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return build_graph(n, [e for e, k in zip(pairs, keep) if k])
-
-
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(g=_hosts(), spec=st.sampled_from(ANCHOR_ZOO), induced=st.booleans())
+@given(g=graphs(), spec=st.sampled_from(ANCHOR_ZOO), induced=st.booleans())
 def test_unanchored_matches_networkx(g, spec, induced):
     # VF2 (Cordella et al. 2004): subgraph isomorphism is the induced
     # question, subgraph monomorphism the not-necessarily-induced one

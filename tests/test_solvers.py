@@ -2,10 +2,13 @@ import random
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
 
 from chibound.graph import CapExceeded, build_graph, degeneracy
 from chibound.patterns import PatternSpec, make_pattern
 from chibound.solvers import (
+    Coloring,
+    _dsatur,
     chi_of_subset,
     chromatic_number,
     clique_number,
@@ -18,9 +21,12 @@ from helpers import (
     brute_force_clique,
     complete_graph,
     cycle_graph,
+    graphs,
+    mycielskian,
     path_graph,
     petersen_graph,
     random_graph,
+    reference_dsatur,
 )
 
 
@@ -93,6 +99,64 @@ class TestChromaticNumber:
             assert coloring.is_proper(g)
             assert chi == brute_force_chromatic(g), g.edges()
 
+    @pytest.mark.parametrize("k,n,chi", [(3, 5, 3), (4, 11, 4), (5, 23, 5)])
+    def test_mycielski(self, k, n, chi):
+        # M_k is triangle-free with chi = k, past brute-force reach for k = 5
+        g = complete_graph(2)
+        for _ in range(k - 2):
+            g = mycielskian(g)
+        assert g.n == n and clique_number(g)[0] == 2
+        value, coloring = chromatic_number(g)
+        assert value == chi
+        assert coloring.is_proper(g) and coloring.count == chi
+
+    @pytest.mark.parametrize("k", range(2, 10))
+    def test_odd_cycle_complement(self, k):
+        # the complement of C_{2k+1} has omega = k and chi = k + 1
+        g = cycle_graph(2 * k + 1).complement()
+        assert clique_number(g)[0] == k
+        value, coloring = chromatic_number(g)
+        assert value == k + 1
+        assert coloring.is_proper(g) and coloring.count == k + 1
+
+    def test_dsatur_refutes_exactly(self):
+        # for every k from omega to n: a coloring iff chi <= k
+        rng = random.Random(53)
+        for _ in range(40):
+            g = random_graph(rng.randint(1, 8), rng.choice([0.3, 0.5, 0.8]), rng)
+            chi = brute_force_chromatic(g)
+            omega, clique = clique_number(g)
+            for k in range(omega, g.n + 1):
+                colors = _dsatur(list(g.adj), k, sorted(clique))
+                assert (colors is not None) == (chi <= k), (g.edges(), k)
+                if colors is not None:
+                    assert Coloring(tuple(colors), max(colors) + 1).is_proper(g)
+                    assert max(colors) < k
+                    assert [colors[v] for v in sorted(clique)] == list(range(omega))
+
+    @staticmethod
+    def reference_witness(g):
+        # the greedy first descent, then k = omega, omega + 1, ... with the
+        # clique witness precolored, each by the plain search
+        greedy = reference_dsatur(g, g.n)
+        omega, clique = clique_number(g)
+        ks = range(omega, max(greedy) + 1)
+        exact = (reference_dsatur(g, k, sorted(clique)) for k in ks)
+        return next(filter(None, exact), greedy)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(g=graphs(max_n=12))
+    def test_witness_matches_reference_search(self, g):
+        assert chromatic_number(g)[1].colors == self.reference_witness(g)
+
+    def test_witness_matches_reference_search_past_brute_force(self):
+        # n = 26..30 needs refutations deep enough to expose search state
+        # left behind by a failed branch
+        rng = random.Random(61)
+        for _ in range(20):
+            g = random_graph(rng.randint(26, 30), rng.choice([0.3, 0.5, 0.7]), rng)
+            assert chromatic_number(g)[1].colors == self.reference_witness(g)
+
     def test_witness_color_count(self):
         rng = random.Random(31)
         for _ in range(30):
@@ -100,6 +164,14 @@ class TestChromaticNumber:
             chi, coloring = chromatic_number(g)
             assert coloring.count == chi
             assert len(set(coloring.colors)) == chi
+
+
+class TestColoring:
+    def test_is_proper_requires_colors_in_range(self):
+        k2 = complete_graph(2)
+        assert Coloring((0, 1), 2).is_proper(k2)
+        assert not Coloring((-1, 0), 2).is_proper(k2)
+        assert not Coloring((0, 5), 2).is_proper(k2)
 
 
 class TestIndependenceNumber:
@@ -136,6 +208,14 @@ class TestSandwichInvariants:
             omega = clique_number(g)[0]
             chi = chromatic_number(g)[0]
             assert omega <= chi <= degeneracy(g)[0] + 1
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(g=graphs(max_n=14, min_n=0))
+    def test_chain_and_witness(self, g):
+        omega = clique_number(g)[0]
+        chi, coloring = chromatic_number(g)
+        assert omega <= chi <= degeneracy(g)[0] + 1
+        assert coloring.is_proper(g) and coloring.count == chi
 
 
 class TestOptimalBindingPoint:

@@ -3,7 +3,8 @@ from itertools import combinations
 
 import pytest
 
-from chibound.graph import CapExceeded, build_graph
+from chibound import structures
+from chibound.graph import CapExceeded, build_graph, induced
 from chibound.patterns import PatternSpec, make_pattern, find_induced
 from chibound.solvers import chi_of_subset, chromatic_number, clique_number
 from chibound.structures import (
@@ -24,6 +25,7 @@ from chibound.structures import (
 )
 
 from helpers import (
+    brute_force_chromatic,
     brute_force_is_t_connected,
     complete_graph,
     cycle_graph,
@@ -378,6 +380,22 @@ class TestClassL:
             ok, cert = in_class_L(g, 2, self.IDENTITY)
             assert ok, (g.edges(), case)
             assert cert.case == case
+            f_graph, _ = induced(g, cert.witnesses["F"])
+            assert cert.witnesses["chi_F"] == brute_force_chromatic(f_graph)
+
+    def test_chi_of_each_component_asked_once(self, monkeypatch):
+        asked = []
+
+        def counting(g, vertices):
+            vertices = frozenset(vertices)
+            asked.append(vertices)
+            return chi_of_subset(g, vertices)
+
+        monkeypatch.setattr(structures, "chi_of_subset", counting)
+        for g, _ in class_l_instances(20):
+            asked.clear()
+            in_class_L(g, 2, self.IDENTITY)
+            assert len(asked) == len(set(asked)), g.edges()
 
     def test_instance_count(self):
         assert len(class_l_instances(20)) >= 20
