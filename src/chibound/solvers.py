@@ -11,9 +11,9 @@ color count or finds the optimal witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .graph import CapExceeded, Graph, induced, iter_bits, mask_of
+from .graph import CapExceeded, Graph, bits_list, iter_bits, mask_of
 
 
 @dataclass(frozen=True)
@@ -176,18 +176,7 @@ def chromatic_number(g: Graph, max_n: int = 40) -> tuple[int, Coloring]:
     if g.edge_count() == 0:
         return 1, Coloring((0,) * n, 1)
     lb, clique = clique_number(g)
-    order = sorted(range(n), key=lambda u: -g.adj[u].bit_count())  # stable: ids ascend
-    rank = [0] * n
-    for r, u in enumerate(order):
-        rank[u] = r
-    adj = [0] * n
-    for u in range(n):
-        bit = 1 << rank[u]
-        row = g.adj[u]
-        while row:
-            low = row & -row
-            adj[rank[low.bit_length() - 1]] |= bit
-            row ^= low
+    rank, adj = _rank_relabel(g.adj, range(n), g.full_mask())
 
     def witness(colors: list[int]) -> Coloring:
         return Coloring(tuple(map(colors.__getitem__, rank)), max(colors) + 1)
@@ -201,12 +190,60 @@ def chromatic_number(g: Graph, max_n: int = 40) -> tuple[int, Coloring]:
 
 
 def chi_of_subset(g: Graph, vertices: Iterable[int], max_n: int = 40) -> int:
-    """Chromatic number of the induced subgraph on ``vertices`` (0 for the empty set)."""
-    sub, _ = induced(g, vertices)
-    if sub.n == 0:
+    """Chromatic number of the induced subgraph on ``vertices`` (0 for the empty set).
+
+    The value :func:`chromatic_number` gives for that subgraph, without
+    building it: the vertex mask is relabelled by rank once, straight
+    from the host rows, and :func:`_dsatur` runs on the ranks without
+    building a witness.  A greedy count of at most three is already
+    exact, since DSATUR colors every bipartite graph with two colors
+    (Brélaz, 1979); otherwise a maximum clique of the ranked subgraph is
+    precolored and each smaller count is refuted as in
+    :func:`chromatic_number`.  Refuses sets above ``max_n`` vertices.
+    """
+    mask = mask_of(vertices)
+    if mask >> g.n:
+        raise ValueError("vertices out of range")
+    n = mask.bit_count()
+    if n > max_n:
+        raise CapExceeded(f"chromatic_number cap is {max_n} vertices, got {n}")
+    if not mask:
         return 0
-    value, _ = chromatic_number(sub, max_n=max_n)
-    return value
+    _, adj = _rank_relabel(g.adj, bits_list(mask), mask)
+    ub = max(_dsatur(adj, n, [])) + 1
+    if ub <= 3:
+        return ub
+    lb, clique = clique_number(Graph(n, tuple(adj)))
+    for k in range(lb, ub):
+        if _dsatur(adj, k, sorted(clique)) is not None:
+            return k
+    return ub
+
+
+def _rank_relabel(
+    rows: tuple[int, ...], vertices: Sequence[int], mask: int
+) -> tuple[list[int], list[int]]:
+    """The induced subgraph on ``mask`` with its vertices relabelled by rank.
+
+    ``vertices`` are the members of ``mask`` in ascending order.  Ranks
+    order them by degree inside ``mask`` descending, then id ascending.
+    Returns ``(rank, adj)``: ``rank[u]`` is the rank of host vertex u (0
+    outside ``mask``) and ``adj[r]`` the neighbor bitset of rank r, in
+    ranks.
+    """
+    order = sorted(vertices, key=lambda u: -(rows[u] & mask).bit_count())  # stable: ids ascend
+    rank = [0] * len(rows)
+    for r, u in enumerate(order):
+        rank[u] = r
+    adj = [0] * len(order)
+    for u in order:
+        bit = 1 << rank[u]
+        row = rows[u] & mask
+        while row:
+            low = row & -row
+            adj[rank[low.bit_length() - 1]] |= bit
+            row ^= low
+    return rank, adj
 
 
 def optimal_binding_point(corpus: Iterable[Graph], w: int) -> int | None:

@@ -83,6 +83,19 @@ class ClassCertificate:
         out["witnesses"] = wit
         return out
 
+    @classmethod
+    def from_json_dict(cls, data: Mapping) -> "ClassCertificate":
+        """Inverse of :meth:`to_json_dict`: list-valued witnesses become frozensets."""
+        try:
+            class_id, case, wit = data["class_id"], data["case"], data["witnesses"]
+        except KeyError as exc:
+            raise ValueError(f"certificate JSON lacks the key {exc}") from None
+        witnesses = {
+            key: frozenset(value) if isinstance(value, list) else value
+            for key, value in wit.items()
+        }
+        return cls(class_id=class_id, case=case, witnesses=witnesses)
+
 
 # ---------------------------------------------------------------------------
 # Balloons
@@ -121,14 +134,18 @@ def enumerate_balloons(
     """Exhaustively enumerate the (p,t)-balloons of ``g``.
 
     Paths come in lexicographic sequence order; candidate bodies per
-    path by increasing size then lexicographic.  Only the connected sets
-    that contain the path endpoint are generated as bodies
-    (:func:`_connected_bodies`) and given the t-connectivity test; chi
-    of each z-set is computed once per call.  With ``cap`` the list
-    stops after ``cap`` entries, so a caller that must tell a cut list
-    from a complete one asks for one entry more than it accepts.
-    Raises :class:`CapExceeded` when the graph is larger than
-    ``max_n``.
+    path by increasing size then lexicographic.  A t-connected body has
+    minimum degree at least t, so it lies inside the t-core of the
+    path's admissible region (the largest subset of minimum degree at
+    least t, :func:`_core_mask`): a path whose tip is outside that core
+    has no body, and otherwise only the connected sets of the core that
+    contain the tip are generated (:func:`_connected_bodies`).  Within
+    one call each body mask gets one t-connectivity test, each z-set one
+    chi, and each body and z-set mask one frozenset, shared by every
+    balloon that carries it.  With ``cap`` the list stops after ``cap``
+    entries, so a caller that must tell a cut list from a complete one
+    asks for one entry more than it accepts.  Raises
+    :class:`CapExceeded` when the graph is larger than ``max_n``.
     """
     if p < 1 or t < 1:
         raise ValueError("p and t must be >= 1")
@@ -137,7 +154,16 @@ def enumerate_balloons(
             f"balloon enumeration cap is {max_n} vertices, got {g.n}"
         )
     out: list[Balloon] = []
+    connected: dict[int, bool] = {}
     chi_of_z: dict[int, int] = {}
+    sets: dict[int, frozenset[int]] = {}
+
+    def members(mask: int) -> frozenset[int]:
+        found = sets.get(mask)
+        if found is None:
+            found = sets[mask] = frozenset(iter_bits(mask))
+        return found
+
     for path in _induced_paths(g, p):
         tip = path[-1]
         tip_bit = 1 << tip
@@ -148,14 +174,18 @@ def enumerate_balloons(
             base &= ~g.adj[v]
         if p >= 2:
             base &= ~(g.adj[path[-2]] & ~tip_bit)
-        if not base & tip_bit:
+        core = _core_mask(g, base, t)
+        if not core & tip_bit:
             continue
-        # |Y| >= t+1 is necessary for t-connectivity
-        bodies = [
-            y
-            for y in _connected_bodies(g, base, tip)
-            if y.bit_count() > t and _t_connected_mask(g, y, t)
-        ]
+        bodies = []
+        for y_mask in _connected_bodies(g, core, tip):
+            if y_mask.bit_count() <= t:  # |Y| >= t+1 is necessary
+                continue
+            verdict = connected.get(y_mask)
+            if verdict is None:
+                verdict = connected[y_mask] = _t_connected_mask(g, y_mask, t)
+            if verdict:
+                bodies.append(y_mask)
         bodies.sort(key=_size_lex)
         for y_mask in bodies:
             z_mask = y_mask & ~g.adj[tip]
@@ -165,8 +195,8 @@ def enumerate_balloons(
             out.append(
                 Balloon(
                     path=path,
-                    body=frozenset(iter_bits(y_mask)),
-                    z_set=frozenset(iter_bits(z_mask)),
+                    body=members(y_mask),
+                    z_set=members(z_mask),
                     value=value,
                     t=t,
                 )
@@ -174,6 +204,21 @@ def enumerate_balloons(
             if cap is not None and len(out) >= cap:
                 return out
     return out
+
+
+def _core_mask(g: Graph, mask: int, t: int) -> int:
+    """The t-core of the induced subgraph on ``mask``: the largest subset
+    in which every vertex has at least t neighbors (Seidman, 1983),
+    found by peeling every vertex of smaller degree until none is left."""
+    adj = g.adj
+    while True:
+        low = 0
+        for v in iter_bits(mask):
+            if (adj[v] & mask).bit_count() < t:
+                low |= 1 << v
+        if not low:
+            return mask
+        mask ^= low
 
 
 def _connected_bodies(g: Graph, base: int, tip: int) -> list[int]:

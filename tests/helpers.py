@@ -12,6 +12,7 @@ from collections.abc import Sequence
 from functools import lru_cache
 from itertools import combinations, permutations
 
+import networkx as nx
 import numpy as np
 from hypothesis import strategies as st
 
@@ -77,6 +78,13 @@ def petersen_graph() -> Graph:
         edges.append((5 + i, 5 + (i + 2) % 5))
         edges.append((i, 5 + i))
     return build_graph(10, edges)
+
+
+def to_networkx(g: Graph) -> nx.Graph:
+    out = nx.Graph()
+    out.add_nodes_from(range(g.n))
+    out.add_edges_from(g.edges())
+    return out
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:

@@ -1,7 +1,9 @@
 import random
 from itertools import permutations
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chibound.graph import CapExceeded, build_graph
 from chibound.corpus import (
@@ -20,7 +22,15 @@ from chibound.corpus import (
 )
 from chibound.patterns import PATTERN_KINDS, PatternSpec
 
-from helpers import complete_graph, cycle_graph, path_graph, petersen_graph, random_graph
+from helpers import (
+    complete_graph,
+    cycle_graph,
+    graphs,
+    path_graph,
+    petersen_graph,
+    random_graph,
+    to_networkx,
+)
 
 
 class TestGraph6:
@@ -87,6 +97,11 @@ class TestGraph6:
             s = write_graph6(g)
             assert read_graph6(s) == g
             assert write_graph6(read_graph6(s)) == s
+
+    @settings(max_examples=150)
+    @given(g=graphs(max_n=7, min_n=0))
+    def test_round_trip_property(self, g):
+        assert read_graph6(write_graph6(g)) == g
 
     def test_large_n_header(self):
         g = build_graph(100, [(0, 99)])
@@ -166,6 +181,24 @@ class TestCanonicalForm:
         a = path_graph(4)
         b = build_graph(4, [(0, 1), (0, 2), (0, 3)])
         assert canonical_key(a) != canonical_key(b)
+
+
+@st.composite
+def same_order_pairs(draw):
+    """Two graphs on one vertex count, and a relabelling of the first."""
+    n = draw(st.integers(0, 7))
+    g, h = draw(graphs(max_n=n, min_n=n)), draw(graphs(max_n=n, min_n=n))
+    perm = draw(st.permutations(range(n)))
+    return g, h, build_graph(n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+@settings(max_examples=150)
+@given(pair=same_order_pairs())
+def test_canonical_key_iff_isomorphic(pair):
+    g, h, relabelled = pair
+    assert canonical_key(relabelled) == canonical_key(g)
+    same = canonical_key(g) == canonical_key(h)
+    assert same == nx.is_isomorphic(to_networkx(g), to_networkx(h)), (g.edges(), h.edges())
 
 
 class TestExhaustiveEnumeration:

@@ -299,7 +299,7 @@ class TestDegeneracy:
                 later = sum(1 for w in g.neighbors(v) if position[w] > position[v])
                 assert later <= d
 
-    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=80)
     @given(g=graphs(max_n=14, min_n=0))
     def test_matches_reference_peel(self, g):
         d, order = degeneracy(g)

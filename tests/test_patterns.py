@@ -2,7 +2,6 @@ import random
 import re
 from itertools import combinations
 
-import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
@@ -31,6 +30,7 @@ from helpers import (
     petersen_graph,
     planted_graph,
     random_graph,
+    to_networkx,
 )
 
 
@@ -322,20 +322,13 @@ def test_anchor_plans_cover_one_vertex_per_orbit(spec):
     assert anchors == [min(orbit) for orbit in brute_force_orbits(h)]
 
 
-def _to_networkx(g) -> nx.Graph:
-    out = nx.Graph()
-    out.add_nodes_from(range(g.n))
-    out.add_edges_from(g.edges())
-    return out
-
-
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(g=graphs(), spec=st.sampled_from(ANCHOR_ZOO), induced=st.booleans())
 def test_unanchored_matches_networkx(g, spec, induced):
     # VF2 (Cordella et al. 2004): subgraph isomorphism is the induced
     # question, subgraph monomorphism the not-necessarily-induced one
     h = make_pattern(spec)
-    matcher = GraphMatcher(_to_networkx(g), _to_networkx(h))
+    matcher = GraphMatcher(to_networkx(g), to_networkx(h))
     expected = matcher.subgraph_is_isomorphic() if induced else matcher.subgraph_is_monomorphic()
     occ = find_occurrence(g, h, induced=induced)
     assert (occ is not None) == expected

@@ -2,13 +2,14 @@ import random
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
-from chibound.graph import CapExceeded, build_graph, degeneracy
+from chibound.graph import CapExceeded, build_graph, degeneracy, induced
 from chibound.patterns import PatternSpec, make_pattern
 from chibound.solvers import (
     Coloring,
     _dsatur,
+    _rank_relabel,
     chi_of_subset,
     chromatic_number,
     clique_number,
@@ -144,7 +145,7 @@ class TestChromaticNumber:
         exact = (reference_dsatur(g, k, sorted(clique)) for k in ks)
         return next(filter(None, exact), greedy)
 
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=100)
     @given(g=graphs(max_n=12))
     def test_witness_matches_reference_search(self, g):
         assert chromatic_number(g)[1].colors == self.reference_witness(g)
@@ -209,7 +210,7 @@ class TestSandwichInvariants:
             chi = chromatic_number(g)[0]
             assert omega <= chi <= degeneracy(g)[0] + 1
 
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=100)
     @given(g=graphs(max_n=14, min_n=0))
     def test_chain_and_witness(self, g):
         omega = clique_number(g)[0]
@@ -255,3 +256,46 @@ class TestChiOfSubset:
     def test_subset_of_c5(self):
         assert chi_of_subset(cycle_graph(5), [0, 1, 2]) == 2
         assert chi_of_subset(cycle_graph(5), range(5)) == 3
+
+    # the independent gate for chi_of_subset: validate_balloon and
+    # validate_biclique recompute values with chi_of_subset itself
+    @settings(max_examples=150)
+    @given(g=graphs(max_n=8), data=st.data())
+    def test_matches_brute_force(self, g, data):
+        keep = data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
+        vertices = [v for v in range(g.n) if keep[v]]
+        sub, _ = induced(g, vertices)
+        assert chi_of_subset(g, vertices) == brute_force_chromatic(sub)
+
+    def test_empty_edgeless_and_complete_masks(self):
+        rng = random.Random(61)
+        for _ in range(25):
+            g = random_graph(rng.randint(1, 14), rng.choice([0.2, 0.5, 0.8]), rng)
+            _, clique = clique_number(g)
+            _, independent = independence_number(g)
+            assert chi_of_subset(g, []) == 0
+            assert chi_of_subset(g, independent) == 1
+            assert chi_of_subset(g, clique) == len(clique)
+            assert chi_of_subset(g, range(g.n)) == chromatic_number(g)[0]
+
+    def test_greedy_overshoot_is_refuted(self):
+        # the first DSATUR descent uses 4 colors here, but chi is 3
+        edges = [(0, 2), (0, 4), (0, 6), (1, 3), (1, 4), (1, 5), (2, 5), (2, 6), (3, 4), (3, 5)]
+        g = build_graph(8, edges)
+        _, adj = _rank_relabel(g.adj, range(7), 0x7F)
+        assert max(_dsatur(adj, 7, [])) + 1 == 4
+        assert chi_of_subset(g, range(7)) == 3 == brute_force_chromatic(g)
+
+    def test_matches_chromatic_number_past_brute_force(self):
+        rng = random.Random(67)
+        for _ in range(30):
+            g = random_graph(rng.randint(16, 24), rng.choice([0.3, 0.5, 0.7]), rng)
+            vertices = [v for v in range(g.n) if rng.random() < 0.7]
+            sub, _ = induced(g, vertices)
+            assert chi_of_subset(g, vertices) == chromatic_number(sub)[0], g.edges()
+
+    def test_bad_input(self):
+        with pytest.raises(ValueError):
+            chi_of_subset(cycle_graph(5), [0, 5])
+        with pytest.raises(CapExceeded):
+            chi_of_subset(cycle_graph(5), range(5), max_n=4)

@@ -1,14 +1,17 @@
+import json
 import random
 from itertools import combinations
 
 import pytest
 
 from chibound import structures
-from chibound.graph import CapExceeded, build_graph, induced
+from chibound.graph import CapExceeded, _t_connected_mask, build_graph, induced
 from chibound.patterns import PatternSpec, make_pattern, find_induced
 from chibound.solvers import chi_of_subset, chromatic_number, clique_number
 from chibound.structures import (
     Balloon,
+    ClassCertificate,
+    _core_mask,
     balloon_layer_max_degree,
     balloon_tip_degree,
     build_class_l_case1,
@@ -116,11 +119,46 @@ class TestBalloonOracle:
         cases = [cycle_graph(5), complete_graph(4), path_graph(4)]
         for _ in range(10):
             cases.append(random_graph(rng.randint(3, 7), rng.choice([0.4, 0.6]), rng))
+        for _ in range(3):
+            cases.append(random_graph(8, rng.choice([0.5, 0.7]), rng))
         for g in cases:
-            for p, t in [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)]:
+            for p, t in [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1)]:
                 expected = brute_force_balloons(g, p, t)
                 got = {(b.path, b.body) for b in enumerate_balloons(g, p, t)}
                 assert got == expected, (g.edges(), p, t)
+
+    def test_each_body_tested_once(self, monkeypatch):
+        # bodies recur across the paths that share a tip
+        tested = []
+
+        def counting(g, mask, t):
+            tested.append(mask)
+            return _t_connected_mask(g, mask, t)
+
+        monkeypatch.setattr(structures, "_t_connected_mask", counting)
+        rng = random.Random(89)
+        for _ in range(12):
+            g = random_graph(rng.randint(6, 11), rng.choice([0.3, 0.5, 0.7]), rng)
+            for p, t in [(1, 2), (2, 2), (2, 3), (3, 2)]:
+                tested.clear()
+                enumerate_balloons(g, p, t)
+                assert len(tested) == len(set(tested)), (g.edges(), p, t)
+
+    def test_core_matches_brute_force(self):
+        # the largest subset of minimum degree >= t, by scanning every subset
+        rng = random.Random(97)
+        for _ in range(30):
+            g = random_graph(rng.randint(1, 8), rng.choice([0.3, 0.5, 0.7]), rng)
+            mask = rng.getrandbits(g.n)
+            for t in (1, 2, 3):
+                expected = 0
+                for sub in range(mask + 1):
+                    if sub & ~mask or sub.bit_count() <= expected.bit_count():
+                        continue
+                    bits = [v for v in range(g.n) if sub >> v & 1]
+                    if all((g.adj[v] & sub).bit_count() >= t for v in bits):
+                        expected = sub
+                assert _core_mask(g, mask, t) == expected, (g.edges(), mask, t)
 
     def test_output_order(self):
         # paths in lexicographic sequence order; within a path, bodies by
@@ -396,6 +434,17 @@ class TestClassL:
             asked.clear()
             in_class_L(g, 2, self.IDENTITY)
             assert len(asked) == len(set(asked)), g.edges()
+
+    def test_certificate_json_round_trip(self):
+        for g, _ in class_l_instances(20):
+            ok, cert = in_class_L(g, 2, self.IDENTITY)
+            assert ok
+            text = json.dumps(cert.to_json_dict())
+            assert ClassCertificate.from_json_dict(json.loads(text)) == cert
+
+    def test_certificate_json_missing_key(self):
+        with pytest.raises(ValueError, match="witnesses"):
+            ClassCertificate.from_json_dict({"class_id": "L(2)", "case": 1})
 
     def test_instance_count(self):
         assert len(class_l_instances(20)) >= 20
