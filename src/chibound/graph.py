@@ -278,6 +278,21 @@ def _t_connected_mask(g: Graph, mask: int, t: int) -> bool:
     return True
 
 
+def _core_mask(g: Graph, mask: int, t: int) -> int:
+    """The t-core of the induced subgraph on ``mask``: the largest subset
+    in which every vertex has at least t neighbors (Seidman, 1983),
+    found by peeling every vertex of smaller degree until none is left."""
+    adj = g.adj
+    while True:
+        low = 0
+        for v in iter_bits(mask):
+            if (adj[v] & mask).bit_count() < t:
+                low |= 1 << v
+        if not low:
+            return mask
+        mask ^= low
+
+
 def _vertex_flow_at_least(g: Graph, mask: int, s: int, sink: int, need: int) -> int:
     """Count internally vertex-disjoint s..sink paths inside ``mask``, stopping at ``need``.
 

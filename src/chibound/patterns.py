@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Callable, Iterable
 
-from .graph import Graph, bits_list, build_graph, components_masks, iter_bits
+from .graph import Graph, _core_mask, bits_list, build_graph, components_masks, iter_bits
 
 
 @dataclass(frozen=True)
@@ -427,23 +428,13 @@ def _multipartite_parts(h: Graph) -> list[list[int]] | None:
 
 def _find_multipartite_subgraph(g: Graph, parts: list[int]) -> list[list[int]] | None:
     """Search for disjoint, mutually complete vertex sets of the given sizes."""
-    from itertools import combinations
-
     total = sum(parts)
     if total > g.n:
         return None
     sizes = sorted(parts, reverse=True)
-    # iterative core reduction: a usable vertex must see at least
-    # total - max_part vertices that themselves survive
-    need = total - sizes[0]
-    alive = g.full_mask()
-    changed = True
-    while changed:
-        changed = False
-        for v in bits_list(alive):
-            if (g.adj[v] & alive).bit_count() < need:
-                alive &= ~(1 << v)
-                changed = True
+    # a usable vertex sees every part but its own: it lies in the
+    # (total - max part)-core
+    alive = _core_mask(g, g.full_mask(), total - sizes[0])
     if alive.bit_count() < total:
         return None
 

@@ -11,12 +11,13 @@ joined set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterator, Mapping
 
 from .graph import (
     CapExceeded,
     Graph,
+    _core_mask,
     _t_connected_mask,
     bfs_layers,
     bits_list,
@@ -103,10 +104,6 @@ class ClassCertificate:
 
 def _induced_paths(g: Graph, p: int) -> Iterator[tuple[int, ...]]:
     """All ordered induced p-vertex paths in lexicographic sequence order."""
-    if p == 1:
-        for v in range(g.n):
-            yield (v,)
-        return
 
     def extend(seq: list[int], seq_mask: int, forbidden: int) -> Iterator[tuple[int, ...]]:
         # forbidden: vertices adjacent to any non-final sequence vertex
@@ -129,7 +126,6 @@ def enumerate_balloons(
     p: int,
     t: int,
     cap: int | None = None,
-    max_n: int = BALLOON_MAX_N,
 ) -> list[Balloon]:
     """Exhaustively enumerate the (p,t)-balloons of ``g``.
 
@@ -145,13 +141,13 @@ def enumerate_balloons(
     balloon that carries it.  With ``cap`` the list stops after ``cap``
     entries, so a caller that must tell a cut list from a complete one
     asks for one entry more than it accepts.  Raises
-    :class:`CapExceeded` when the graph is larger than ``max_n``.
+    :class:`CapExceeded` when the graph is larger than ``BALLOON_MAX_N``.
     """
     if p < 1 or t < 1:
         raise ValueError("p and t must be >= 1")
-    if g.n > max_n:
+    if g.n > BALLOON_MAX_N:
         raise CapExceeded(
-            f"balloon enumeration cap is {max_n} vertices, got {g.n}"
+            f"balloon enumeration cap is {BALLOON_MAX_N} vertices, got {g.n}"
         )
     out: list[Balloon] = []
     connected: dict[int, bool] = {}
@@ -204,21 +200,6 @@ def enumerate_balloons(
             if cap is not None and len(out) >= cap:
                 return out
     return out
-
-
-def _core_mask(g: Graph, mask: int, t: int) -> int:
-    """The t-core of the induced subgraph on ``mask``: the largest subset
-    in which every vertex has at least t neighbors (Seidman, 1983),
-    found by peeling every vertex of smaller degree until none is left."""
-    adj = g.adj
-    while True:
-        low = 0
-        for v in iter_bits(mask):
-            if (adj[v] & mask).bit_count() < t:
-                low |= 1 << v
-        if not low:
-            return mask
-        mask ^= low
 
 
 def _connected_bodies(g: Graph, base: int, tip: int) -> list[int]:
@@ -355,9 +336,7 @@ def validate_biclique(g: Graph, b: Biclique) -> bool:
 # Minimal cutsets
 
 
-def minimal_cutsets(
-    g: Graph, cap: int | None = None, max_n: int = CUTSET_MAX_N
-) -> list[frozenset[int]]:
+def minimal_cutsets(g: Graph, cap: int | None = None) -> list[frozenset[int]]:
     """All vertex sets X whose removal disconnects ``g`` such that every
     member of X has a neighbor in every remaining component.
 
@@ -367,10 +346,10 @@ def minimal_cutsets(
     G - N[v], closed under S -> N(C) for each x in S and each component
     C of G - (S + N(x)).  The list comes by increasing size then
     lexicographic.  Raises on disconnected input, on graphs above
-    ``max_n`` and when the result would exceed ``cap``.
+    ``CUTSET_MAX_N`` and when the result would exceed ``cap``.
     """
-    if g.n > max_n:
-        raise CapExceeded(f"cutset enumeration cap is {max_n} vertices, got {g.n}")
+    if g.n > CUTSET_MAX_N:
+        raise CapExceeded(f"cutset enumeration cap is {CUTSET_MAX_N} vertices, got {g.n}")
     full = g.full_mask()
     if not is_connected_mask(g, full) or g.n < 2:
         raise ValueError("minimal_cutsets requires a connected graph")
@@ -432,8 +411,16 @@ def in_class_L(
     With X complete (case 1) a second component must hold a vertex
     nonadjacent to v; with X not complete (case 2) some w in X
     nonadjacent to v must miss the chosen neighbor y.  Either way some
-    component F of B1 minus the v-neighborhood must touch N(y) and have
+    component F of B1 minus the v-neighborhood N must touch N(y) and have
     chi above ``binding`` at omega(G) // i.
+
+    The search leans on what :func:`minimal_cutsets` guarantees: X leaves
+    at least two components and every member of X has a neighbor in each
+    of them.  So N is never empty, a second component B2 always exists,
+    and so does ``f_vertex``, the lowest neighbor of v in B2.  The case
+    conditions depend on (v, B1) and (v, y) only, so they are tested
+    before any chi; each F gets one chi per call.  The first hit in the
+    order X, v, B1, y, F is returned.
     """
     if i < 2:
         raise ValueError("i must be >= 2")
@@ -446,113 +433,61 @@ def in_class_L(
         raise ValueError(f"binding table undefined at {point}")
     threshold = binding[point]
 
+    adj = g.adj
+    chi_of_f: dict[int, int] = {}
     for x_set in minimal_cutsets(g):
         x_mask = mask_of(x_set)
-        rest_comps = components_masks(g, g.full_mask() & ~x_mask)
-        x_list = sorted(x_set)
-        x_complete = all(
-            g.has_edge(u, v) for u, v in combinations(x_list, 2)
-        )
-        for v in x_list:
-            cert = _class_l_find(
-                g, x_list, x_mask, v, x_complete, rest_comps, threshold, i, omega
-            )
-            if cert is not None:
-                return True, cert
+        comps = components_masks(g, g.full_mask() & ~x_mask)
+        x_complete = all(x_mask & ~adj[v] == 1 << v for v in x_set)
+        for v, b1 in product(sorted(x_set), comps):
+            if x_complete:
+                # case 1: another component holds a vertex nonadjacent to v
+                b2 = next((c for c in comps if c != b1 and c & ~adj[v]), 0)
+                if not b2:
+                    continue
+                extra = {"u": _lowest(b2 & ~adj[v])}
+            else:
+                b2 = next(c for c in comps if c != b1)
+            n_mask = adj[v] & b1
+            f_comps = components_masks(g, b1 & ~n_mask)
+            for y in iter_bits(n_mask):
+                if not x_complete:
+                    # case 2: some w in X misses both v and y
+                    w_mask = x_mask & ~adj[v] & ~adj[y] & ~(1 << v)
+                    if not w_mask:
+                        continue
+                    extra = {"w": _lowest(w_mask)}
+                for f_mask in f_comps:
+                    if not adj[y] & f_mask:
+                        continue
+                    chi_f = chi_of_f.get(f_mask)
+                    if chi_f is None:
+                        chi_f = chi_of_f[f_mask] = chi_of_subset(g, iter_bits(f_mask))
+                    if chi_f <= threshold:
+                        continue
+                    witnesses: dict[str, object] = {
+                        "X": x_set,
+                        "v": v,
+                        "B1": frozenset(iter_bits(b1)),
+                        "y": y,
+                        "N": frozenset(iter_bits(n_mask)),
+                        "F": frozenset(iter_bits(f_mask)),
+                        "Y1": frozenset(z for z in iter_bits(n_mask) if adj[z] & f_mask),
+                        "chi_F": chi_f,
+                        "omega": omega,
+                        "threshold": threshold,
+                        "f_vertex": _lowest(adj[v] & b2),
+                        **extra,
+                        "B2": frozenset(iter_bits(b2)),
+                    }
+                    case = 1 if x_complete else 2
+                    return True, ClassCertificate(f"L({i})", case, witnesses)
     return False, None
 
 
-def _class_l_find(
-    g: Graph,
-    x_list: list[int],
-    x_mask: int,
-    v: int,
-    x_complete: bool,
-    comps: list[int],
-    threshold: int,
-    i: int,
-    omega: int,
-) -> ClassCertificate | None:
-    chi_of_f: dict[int, int] = {}
-    for b1 in comps:
-        n_mask = g.adj[v] & b1
-        if not n_mask:
-            continue
-        f_comps = components_masks(g, b1 & ~n_mask)
-        for y in iter_bits(n_mask):
-            for f_mask in f_comps:
-                if not g.adj[y] & f_mask:
-                    continue
-                chi_f = chi_of_f.get(f_mask)
-                if chi_f is None:
-                    chi_f = chi_of_f[f_mask] = chi_of_subset(g, iter_bits(f_mask))
-                if chi_f <= threshold:
-                    continue
-                if x_complete:
-                    pair = _case1_second_component(g, v, comps, b1)
-                    if pair is None:
-                        continue
-                    b2, u = pair
-                    case = 1
-                    extra = {"u": u, "B2": frozenset(iter_bits(b2))}
-                else:
-                    w = next(
-                        (
-                            w
-                            for w in x_list
-                            if w != v
-                            and not g.has_edge(w, v)
-                            and not g.has_edge(w, y)
-                        ),
-                        None,
-                    )
-                    if w is None:
-                        continue
-                    b2 = next((c for c in comps if c != b1), None)
-                    case = 2
-                    extra = {"w": w}
-                    if b2 is not None:
-                        extra["B2"] = frozenset(iter_bits(b2))
-                f_nbr = None
-                if "B2" in extra:
-                    b2_mask = mask_of(extra["B2"])
-                    nbrs = g.adj[v] & b2_mask
-                    if nbrs:
-                        f_nbr = (nbrs & -nbrs).bit_length() - 1
-                y1_mask = 0
-                for z in iter_bits(n_mask):
-                    if g.adj[z] & f_mask:
-                        y1_mask |= 1 << z
-                witnesses: dict[str, object] = {
-                    "X": frozenset(x_list),
-                    "v": v,
-                    "B1": frozenset(iter_bits(b1)),
-                    "y": y,
-                    "N": frozenset(iter_bits(n_mask)),
-                    "F": frozenset(iter_bits(f_mask)),
-                    "Y1": frozenset(iter_bits(y1_mask)),
-                    "chi_F": chi_f,
-                    "omega": omega,
-                    "threshold": threshold,
-                }
-                if f_nbr is not None:
-                    witnesses["f_vertex"] = f_nbr
-                witnesses.update(extra)
-                return ClassCertificate(class_id=f"L({i})", case=case, witnesses=witnesses)
-    return None
-
-
-def _case1_second_component(
-    g: Graph, v: int, comps: list[int], b1: int
-) -> tuple[int, int] | None:
-    for b2 in comps:
-        if b2 == b1:
-            continue
-        nonadj = b2 & ~g.adj[v]
-        if nonadj:
-            u = (nonadj & -nonadj).bit_length() - 1
-            return b2, u
-    return None
+def _lowest(mask: int) -> int:
+    """The lowest vertex of a nonempty mask."""
+    return (mask & -mask).bit_length() - 1
 
 
 def in_class_F(
@@ -560,15 +495,14 @@ def in_class_F(
     k: int,
     p: int,
     t: int,
-    from_neighborhood: bool = True,
     cap: int | None = None,
 ) -> bool:
     """Deep-layer condition: in every (p,t)-balloon some maximum-degree vertex
     of the distance->=2 body region stays close to the tip.
 
     "Close" means body-layer index at most k+1, reading "within distance
-    k from the tip neighborhood"; pass ``from_neighborhood=False`` for
-    the stricter distance-from-tip reading (layer index at most k).
+    k from the tip neighborhood".  The stricter distance-from-tip reading
+    (layer index at most k) at some k >= 3 is this reading at k - 1.
     Membership presumes the C4-free p-flag-free class; non-members are
     rejected.
     """
@@ -580,10 +514,9 @@ def in_class_F(
     balloons = enumerate_balloons(g, p, t, cap=None if cap is None else cap + 1)
     if cap is not None and len(balloons) > cap:
         raise CapExceeded(f"more than {cap} balloons")
-    limit = k + 1 if from_neighborhood else k
     for b in balloons:
         body_layers, _, top = _far_region(g, b)
-        if top and not top & sum(body_layers[: limit + 1]):
+        if top and not top & sum(body_layers[: k + 2]):  # layers 0..k+1
             return False
     return True
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from itertools import combinations
@@ -6,7 +7,7 @@ import pytest
 
 from chibound import structures
 from chibound.graph import CapExceeded, _t_connected_mask, build_graph, induced
-from chibound.patterns import PatternSpec, make_pattern, find_induced
+from chibound.patterns import PatternSpec, find_induced, is_family_free, make_pattern
 from chibound.solvers import chi_of_subset, chromatic_number, clique_number
 from chibound.structures import (
     Balloon,
@@ -29,6 +30,7 @@ from chibound.structures import (
 
 from helpers import (
     brute_force_chromatic,
+    brute_force_clique,
     brute_force_is_t_connected,
     complete_graph,
     cycle_graph,
@@ -506,3 +508,151 @@ class TestConstructedInstancesAreClean:
         assert not ok2
         with pytest.raises(ValueError):
             in_class_L(mutated, 2, TestClassL.IDENTITY)
+
+
+# ---------------------------------------------------------------------------
+# Class L: every certificate field re-derived from its definition
+
+
+def _random_class_l_hosts(count, seed):
+    """``count`` random connected {P6, (2,2)-broom}-free graphs on 6..9 vertices."""
+    family = [PatternSpec.path(6), PatternSpec.broom(2, 2)]
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(6, 9)
+        g = random_graph(n, rng.choice([0.3, 0.4, 0.5, 0.6]), rng)
+        if len(_parts_on(g, list(range(n)))) == 1 and is_family_free(g, family)[0]:
+            out.append(g)
+    return out
+
+
+def _full_cutsets(g):
+    """Every X whose removal leaves at least two components, each holding
+    a neighbor of every member of X, with those components: a scan over
+    all vertex subsets."""
+    out = {}
+    for size in range(1, g.n - 1):
+        for combo in combinations(range(g.n), size):
+            parts = _parts_on(g, [v for v in range(g.n) if v not in combo])
+            if len(parts) >= 2 and all(
+                any(g.has_edge(x, y) for y in part) for part in parts for x in combo
+            ):
+                out[frozenset(combo)] = [frozenset(part) for part in parts]
+    return out
+
+
+def _is_complete_on(g, vertices):
+    return all(g.has_edge(a, b) for a, b in combinations(sorted(vertices), 2))
+
+
+class TestClassLOracle:
+    """``in_class_L`` against a brute-force reading of the L(i) definition:
+    the shipped instances plus 300 random hosts, at the constant
+    thresholds 0, 1 and 2 and at the identity binding."""
+
+    I = 2
+    BINDINGS = [{w: c for w in range(64)} for c in (0, 1, 2)] + [TestClassL.IDENTITY]
+    # sha256 of the certificate JSON lines ("null" for a non-member), one
+    # line per (graph, binding), graphs outer, in the order of ``calls``
+    DIGEST = "d1a5f9175150ba0fad7a052c3e1435e9fef95b3cda8760d622c43b8757ac6f40"
+
+    @pytest.fixture(scope="class")
+    def calls(self):
+        graphs = [g for g, _ in class_l_instances()] + _random_class_l_hosts(300, 2027)
+        return [
+            (g, binding, *in_class_L(g, self.I, binding))
+            for g in graphs
+            for binding in self.BINDINGS
+        ]
+
+    @pytest.fixture(scope="class")
+    def chi_of(self):
+        memo = {}
+
+        def chi(g, vertices):
+            key = (g, frozenset(vertices))
+            if key not in memo:
+                memo[key] = brute_force_chromatic(induced(g, vertices)[0])
+            return memo[key]
+
+        return chi
+
+    def test_every_field_rederived(self, calls, chi_of):
+        cases = []
+        for g, binding, ok, cert in calls:
+            if not ok:
+                assert cert is None
+                continue
+            cases.append(cert.case)
+            w = cert.witnesses
+            x_set, v, y, b1, b2 = w["X"], w["v"], w["y"], w["B1"], w["B2"]
+            assert cert.class_id == f"L({self.I})"
+            # X: a minimal cutset whose components are all full
+            rest = [z for z in range(g.n) if z not in x_set]
+            parts = [frozenset(part) for part in _parts_on(g, rest)]
+            assert len(parts) >= 2
+            assert all(any(g.has_edge(x, z) for z in part) for part in parts for x in x_set)
+            for size in range(len(x_set)):
+                for sub in combinations(sorted(x_set), size):
+                    assert len(_parts_on(g, [z for z in range(g.n) if z not in sub])) == 1
+            assert v in x_set
+            assert b1 in parts and b2 in parts and b1 != b2
+            assert w["N"] == {z for z in b1 if g.has_edge(v, z)}
+            assert y in w["N"]
+            f_set = w["F"]
+            assert f_set in [frozenset(p) for p in _parts_on(g, sorted(b1 - w["N"]))]
+            assert any(g.has_edge(y, z) for z in f_set)
+            assert w["Y1"] == {z for z in w["N"] if any(g.has_edge(z, f) for f in f_set)}
+            assert w["omega"] == brute_force_clique(g)
+            assert w["threshold"] == binding[w["omega"] // self.I]
+            assert w["chi_F"] == chi_of(g, f_set) > w["threshold"]
+            assert w["f_vertex"] == min(z for z in b2 if g.has_edge(v, z))
+            if cert.case == 1:
+                assert _is_complete_on(g, x_set)
+                assert w["u"] in b2 and not g.has_edge(w["u"], v)
+            else:
+                assert cert.case == 2 and not _is_complete_on(g, x_set)
+                assert w["w"] in x_set and w["w"] != v
+                assert not g.has_edge(w["w"], v) and not g.has_edge(w["w"], y)
+        # 108 certificates of shipped instances, 222 of random hosts
+        assert len(cases) == 330 and set(cases) == {1, 2}
+
+    def test_membership_matches_brute_force(self, calls, chi_of):
+        # the largest chi(F) over every (X, v, B1, y, F) that meets its
+        # case condition decides membership at every threshold
+        best_of = {}
+        for g, binding, ok, _ in calls:
+            if g.n > 9:  # keeps the subset scan small; this skips 9 shipped instances
+                continue
+            if g not in best_of:
+                best = -1
+                for x_set, parts in _full_cutsets(g).items():
+                    complete = _is_complete_on(g, x_set)
+                    for v in x_set:
+                        for b1 in parts:
+                            if complete and all(
+                                g.has_edge(u, v) for b2 in parts if b2 != b1 for u in b2
+                            ):
+                                continue
+                            n_set = {z for z in b1 if g.has_edge(v, z)}
+                            for y in n_set:
+                                if not complete and not any(
+                                    w != v and not g.has_edge(w, v) and not g.has_edge(w, y)
+                                    for w in x_set
+                                ):
+                                    continue
+                                for f_set in _parts_on(g, sorted(b1 - n_set)):
+                                    if any(g.has_edge(y, z) for z in f_set):
+                                        best = max(best, chi_of(g, f_set))
+                best_of[g] = best
+            threshold = binding[brute_force_clique(g) // self.I]
+            assert ok == (best_of[g] > threshold), g.edges()
+
+    def test_certificate_json_digest(self, calls):
+        lines = [
+            json.dumps(cert.to_json_dict()) if ok else "null"
+            for _, _, ok, cert in calls
+        ]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.DIGEST
