@@ -381,33 +381,25 @@ def find_induced(g: Graph, h: Graph) -> Occurrence | None:
 def find_subgraph(g: Graph, h: Graph) -> Occurrence | None:
     """Not-necessarily-induced occurrence of ``h`` in ``g``.
 
-    Complete multipartite patterns (including bicliques and cliques) are
-    recognized structurally and searched by part assignment, which is
-    far faster than generic backtracking for those shapes.
+    Complete multipartite patterns with two or more parts (including
+    bicliques and cliques) are recognized structurally and searched by
+    part assignment, which is far faster than generic backtracking for
+    those shapes; every other pattern, edgeless ones included, goes to
+    :func:`find_occurrence`.
     """
     parts = _multipartite_parts(h)
     if parts is not None and len(parts) > 1:
+        # sizes descending, as the search places them; within-part
+        # pattern edges do not exist, so any bijection of a part works
+        parts.sort(key=len, reverse=True)
         found = _find_multipartite_subgraph(g, [len(p) for p in parts])
         if found is None:
             return None
-        # pair each pattern part with an unused found part of equal size;
-        # within-part pattern edges do not exist, so any bijection works
         mapping = [-1] * h.n
-        remaining = list(found)
-        for members in parts:
-            for i, host_part in enumerate(remaining):
-                if host_part is not None and len(host_part) == len(members):
-                    for x, w in zip(members, host_part):
-                        mapping[x] = w
-                    remaining[i] = None
-                    break
+        for members, host_part in zip(parts, found):
+            for x, w in zip(members, host_part):
+                mapping[x] = w
         return Occurrence(tuple(mapping), False)
-    if parts is not None and len(parts) == 1:
-        # edgeless pattern: any |part| distinct vertices
-        size = len(parts[0])
-        if g.n < size:
-            return None
-        return Occurrence(tuple(range(size)), False)
     return find_occurrence(g, h, induced=False)
 
 
@@ -426,12 +418,12 @@ def _multipartite_parts(h: Graph) -> list[list[int]] | None:
     return [bits_list(mask) for mask in parts]
 
 
-def _find_multipartite_subgraph(g: Graph, parts: list[int]) -> list[list[int]] | None:
-    """Search for disjoint, mutually complete vertex sets of the given sizes."""
-    total = sum(parts)
+def _find_multipartite_subgraph(g: Graph, sizes: list[int]) -> list[list[int]] | None:
+    """Disjoint, mutually complete vertex sets of the given sizes, which
+    come in descending order; the i-th set found has size ``sizes[i]``."""
+    total = sum(sizes)
     if total > g.n:
         return None
-    sizes = sorted(parts, reverse=True)
     # a usable vertex sees every part but its own: it lies in the
     # (total - max part)-core
     alive = _core_mask(g, g.full_mask(), total - sizes[0])
@@ -459,9 +451,7 @@ def _find_multipartite_subgraph(g: Graph, parts: list[int]) -> list[list[int]] |
             chosen.pop()
         return False
 
-    if not place(0, alive, 0):
-        return None
-    return [list(part) for part in chosen]
+    return chosen if place(0, alive, 0) else None
 
 
 def is_family_free(

@@ -2,10 +2,12 @@
 
 Everything here is exact: past the configurable size caps the solvers
 refuse instead of approximating, since downstream verification depends
-on true values of chi and omega.  The chromatic number comes from one
-saturation search: its first descent is the greedy upper bound, and
-the same search with a maximum clique precolored refutes each smaller
-color count or finds the optimal witness.
+on true values of chi and omega.  Every chromatic number, of a whole
+graph or of a vertex subset, comes from one routine, :func:`_chi`, on a
+vertex mask of the host rows: one saturation search whose first descent
+is the greedy upper bound, and which, with a maximum clique precolored,
+refutes each smaller color count or finds the optimal witness.  Every
+clique number comes from one branch and bound, :func:`_max_clique`.
 """
 
 from __future__ import annotations
@@ -37,14 +39,18 @@ class Coloring:
 
 
 def clique_number(g: Graph) -> tuple[int, frozenset[int]]:
-    """Exact maximum clique size with a witness.
+    """Exact maximum clique size with a witness (see :func:`_max_clique`)."""
+    size, mask = _max_clique(g.adj, g.full_mask())
+    return size, frozenset(iter_bits(mask))
 
-    Branch and bound with greedy-coloring upper bounds; candidates are
-    scanned in ascending vertex id so the witness is reproducible.
+
+def _max_clique(rows: Sequence[int], within: int) -> tuple[int, int]:
+    """Maximum clique of the subgraph of ``rows`` induced on ``within``.
+
+    Branch and bound with greedy-coloring upper bounds, on host ids;
+    candidates are scanned in ascending id so the witness is
+    reproducible.  Returns ``(size, mask)``; the empty mask gives 0.
     """
-    if g.n == 0:
-        return 0, frozenset()
-    adj = g.adj
     best_mask = 0
     best_size = 0
 
@@ -61,7 +67,7 @@ def clique_number(g: Graph) -> tuple[int, frozenset[int]]:
                 v = low.bit_length() - 1
                 order.append(v)
                 bounds.append(color)
-                avail &= ~adj[v]
+                avail &= ~rows[v]
                 avail ^= low
                 rest ^= low
         return order, bounds
@@ -79,17 +85,16 @@ def clique_number(g: Graph) -> tuple[int, frozenset[int]]:
                 return
             v = order[i]
             bit = 1 << v
-            expand(r_mask | bit, size + 1, p_mask & adj[v])
+            expand(r_mask | bit, size + 1, p_mask & rows[v])
             p_mask &= ~bit
 
-    expand(0, 0, g.full_mask())
-    return best_size, frozenset(iter_bits(best_mask))
+    expand(0, 0, within)
+    return best_size, best_mask
 
 
 def independence_number(g: Graph) -> tuple[int, frozenset[int]]:
     """Exact independence number, computed as the clique number of the complement."""
-    size, members = clique_number(g.complement())
-    return size, members
+    return clique_number(g.complement())
 
 
 def _dsatur(adj: list[int], k: int, clique: list[int]) -> list[int] | None:
@@ -158,66 +163,55 @@ def _dsatur(adj: list[int], k: int, clique: list[int]) -> list[int] | None:
 def chromatic_number(g: Graph, max_n: int = 40) -> tuple[int, Coloring]:
     """Exact chromatic number with a witnessing proper coloring.
 
-    One saturation search on bitset buckets (:func:`_dsatur`) gives both
-    bounds.  Its first descent with n colors is the greedy upper bound.
-    Then, with a maximum clique precolored (its i-th lowest id gets
-    color i), it runs for each k from omega upwards: each failure is an
-    exhaustive refutation and the first success is optimal.  Vertices
-    are chosen by most distinct neighbor colors, then highest degree,
-    then lowest id, and colors are tried in ascending order; this fixes
-    the witness.  Refuses graphs above ``max_n`` vertices rather than
-    returning a heuristic answer.
+    The value and coloring of :func:`_chi` on all of ``g``, mapped back
+    from ranks to vertex ids.  Vertices are chosen by most distinct
+    neighbor colors, then highest degree, then lowest id, and colors are
+    tried in ascending order; this fixes the witness.  Refuses graphs
+    above ``max_n`` vertices rather than returning a heuristic answer.
     """
-    n = g.n
-    if n > max_n:
-        raise CapExceeded(f"chromatic_number cap is {max_n} vertices, got {n}")
-    if n == 0:
-        return 0, Coloring((), 0)
-    if g.edge_count() == 0:
-        return 1, Coloring((0,) * n, 1)
-    lb, clique = clique_number(g)
-    rank, adj = _rank_relabel(g.adj, range(n), g.full_mask())
-
-    def witness(colors: list[int]) -> Coloring:
-        return Coloring(tuple(map(colors.__getitem__, rank)), max(colors) + 1)
-
-    ub = witness(_dsatur(adj, n, []))
-    for k in range(lb, ub.count):
-        colors = _dsatur(adj, k, [rank[u] for u in sorted(clique)])
-        if colors is not None:
-            return k, witness(colors)
-    return ub.count, ub
+    k, colors, rank = _chi(g.adj, g.full_mask(), max_n)
+    return k, Coloring(tuple(map(colors.__getitem__, rank)), k)
 
 
 def chi_of_subset(g: Graph, vertices: Iterable[int], max_n: int = 40) -> int:
     """Chromatic number of the induced subgraph on ``vertices`` (0 for the empty set).
 
-    The value :func:`chromatic_number` gives for that subgraph, without
-    building it: the vertex mask is relabelled by rank once, straight
-    from the host rows, and :func:`_dsatur` runs on the ranks without
-    building a witness.  A greedy count of at most three is already
-    exact, since DSATUR colors every bipartite graph with two colors
-    (Brélaz, 1979); otherwise a maximum clique of the ranked subgraph is
-    precolored and each smaller count is refuted as in
-    :func:`chromatic_number`.  Refuses sets above ``max_n`` vertices.
+    The value of :func:`_chi` on the vertex mask, straight from the host
+    rows: the same search as :func:`chromatic_number`, without building
+    the subgraph or a witness.  Refuses sets above ``max_n`` vertices.
     """
     mask = mask_of(vertices)
     if mask >> g.n:
         raise ValueError("vertices out of range")
+    return _chi(g.adj, mask, max_n)[0]
+
+
+def _chi(rows: tuple[int, ...], mask: int, max_n: int) -> tuple[int, list[int], list[int]]:
+    """Chromatic number of the subgraph of ``rows`` induced on ``mask``.
+
+    One rank relabelling (:func:`_rank_relabel`) and one saturation
+    search (:func:`_dsatur`): its first descent is the greedy bound,
+    exact when at most 3 (DSATUR is exact on bipartite graphs; Brélaz
+    1979).  Above that, a :func:`_max_clique` on host ids is precolored
+    in ascending id, and each k from omega up is refuted or is optimal.
+    Returns ``(k, colors by rank, rank)``; refuses over ``max_n`` vertices.
+    """
     n = mask.bit_count()
     if n > max_n:
         raise CapExceeded(f"chromatic_number cap is {max_n} vertices, got {n}")
+    rank, adj = _rank_relabel(rows, bits_list(mask), mask)
     if not mask:
-        return 0
-    _, adj = _rank_relabel(g.adj, bits_list(mask), mask)
-    ub = max(_dsatur(adj, n, [])) + 1
-    if ub <= 3:
-        return ub
-    lb, clique = clique_number(Graph(n, tuple(adj)))
-    for k in range(lb, ub):
-        if _dsatur(adj, k, sorted(clique)) is not None:
-            return k
-    return ub
+        return 0, [], rank
+    greedy = _dsatur(adj, n, [])
+    ub = max(greedy) + 1
+    if ub > 3:
+        omega, clique = _max_clique(rows, mask)
+        precolored = [rank[u] for u in iter_bits(clique)]
+        for k in range(omega, ub):
+            colors = _dsatur(adj, k, precolored)
+            if colors is not None:
+                return k, colors, rank
+    return ub, greedy, rank
 
 
 def _rank_relabel(

@@ -138,10 +138,9 @@ def enumerate_balloons(
     contain the tip are generated (:func:`_connected_bodies`).  Within
     one call each body mask gets one t-connectivity test, each z-set one
     chi, and each body and z-set mask one frozenset, shared by every
-    balloon that carries it.  With ``cap`` the list stops after ``cap``
-    entries, so a caller that must tell a cut list from a complete one
-    asks for one entry more than it accepts.  Raises
-    :class:`CapExceeded` when the graph is larger than ``BALLOON_MAX_N``.
+    balloon that carries it.  Raises :class:`CapExceeded` when the graph
+    is larger than ``BALLOON_MAX_N`` and when there are more than ``cap``
+    balloons, so a returned list is always complete.
     """
     if p < 1 or t < 1:
         raise ValueError("p and t must be >= 1")
@@ -184,6 +183,8 @@ def enumerate_balloons(
                 bodies.append(y_mask)
         bodies.sort(key=_size_lex)
         for y_mask in bodies:
+            if cap is not None and len(out) >= cap:
+                raise CapExceeded(f"more than {cap} balloons")
             z_mask = y_mask & ~g.adj[tip]
             value = chi_of_z.get(z_mask)
             if value is None:
@@ -197,8 +198,6 @@ def enumerate_balloons(
                     t=t,
                 )
             )
-            if cap is not None and len(out) >= cap:
-                return out
     return out
 
 
@@ -289,13 +288,13 @@ def balloon_tip_degree(g: Graph, b: Balloon) -> int:
 # Bicliques
 
 
-def enumerate_bicliques(g: Graph, t: int, cap: int | None = None) -> list[Biclique]:
+def enumerate_bicliques(g: Graph, t: int) -> list[Biclique]:
     """All t-bicliques with maximal joined set, one per t-subset X.
 
     The maximal choice of Y for a given X is the common neighborhood of
     X; chi is monotone under induced subgraphs, so maximal Y suffices
     for any value-threshold question.  X sets come in lexicographic
-    order; with ``cap`` the list is truncated at ``cap`` entries.
+    order.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -317,8 +316,6 @@ def enumerate_bicliques(g: Graph, t: int, cap: int | None = None) -> list[Bicliq
                 value=value,
             )
         )
-        if cap is not None and len(out) >= cap:
-            return out
     return out
 
 
@@ -504,17 +501,14 @@ def in_class_F(
     k from the tip neighborhood".  The stricter distance-from-tip reading
     (layer index at most k) at some k >= 3 is this reading at k - 1.
     Membership presumes the C4-free p-flag-free class; non-members are
-    rejected.
+    rejected.  Raises :class:`CapExceeded` past ``cap`` balloons.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     member, _ = in_class_H(g, p)
     if not member:
         raise ValueError("graph is outside the C4-free p-flag-free class")
-    balloons = enumerate_balloons(g, p, t, cap=None if cap is None else cap + 1)
-    if cap is not None and len(balloons) > cap:
-        raise CapExceeded(f"more than {cap} balloons")
-    for b in balloons:
+    for b in enumerate_balloons(g, p, t, cap=cap):
         body_layers, _, top = _far_region(g, b)
         if top and not top & sum(body_layers[: k + 2]):  # layers 0..k+1
             return False

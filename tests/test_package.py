@@ -25,3 +25,9 @@ def test_console_scripts_resolve():
     for target in project.get("scripts", {}).values():
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr))
+
+
+def test_all_exports_resolve_once():
+    assert len(set(chibound.__all__)) == len(chibound.__all__)
+    for name in chibound.__all__:
+        assert hasattr(chibound, name), name

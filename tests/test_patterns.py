@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 from itertools import combinations
@@ -187,6 +188,49 @@ class TestFindSubgraph:
         g = complete_graph(3)
         assert find_subgraph(g, make_pattern(PatternSpec.kdt(1, 3))) is not None
         assert find_subgraph(g, make_pattern(PatternSpec.kdt(1, 4))) is None
+
+
+class TestFindSubgraphPinned:
+    """``find_subgraph`` mappings on seeded hosts, pinned by digest:
+    multipartite patterns (parts out of size order and interleaved ids
+    included), edgeless patterns and two generic ones."""
+
+    # sha256 of the mapping reprs ("None" when absent), hosts outer
+    DIGEST = "0a94ecc9a65d642be41409b8fd8f6f4e52b80a3127e5ef5ca3f390ee7a294da3"
+
+    @staticmethod
+    def multipartite(parts):
+        label = {v: i for i, part in enumerate(parts) for v in part}
+        n = len(label)
+        return build_graph(
+            n, [(u, v) for u, v in combinations(range(n), 2) if label[u] != label[v]]
+        )
+
+    def test_mapping_digest(self):
+        patterns = [
+            make_pattern(PatternSpec.kdt(1, 1)),
+            make_pattern(PatternSpec.kdt(1, 4)),
+            build_graph(6, []),
+            make_pattern(PatternSpec.complete(4)),
+            make_pattern(PatternSpec.star(3)),
+            make_pattern(PatternSpec.biclique(2, 3)),
+            make_pattern(PatternSpec.biclique(3, 1)),
+            make_pattern(PatternSpec.kdt(3, 2)),
+            self.multipartite([[0, 3], [1], [2, 4, 5]]),
+            self.multipartite([[1], [0, 2], [3], [4, 5]]),
+            make_pattern(PatternSpec.path(4)),
+            make_pattern(PatternSpec.cycle(5)),
+        ]
+        rng = random.Random(71)
+        lines = []
+        for _ in range(150):
+            g = random_graph(rng.randint(1, 13), rng.choice([0.2, 0.5, 0.8]), rng)
+            for h in patterns:
+                occ = find_subgraph(g, h)
+                assert occ is None or validate_occurrence(g, h, occ)
+                lines.append("None" if occ is None else repr(occ.mapping))
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.DIGEST
 
 
 class TestFamilyFree:

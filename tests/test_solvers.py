@@ -158,6 +158,22 @@ class TestChromaticNumber:
             g = random_graph(rng.randint(26, 30), rng.choice([0.3, 0.5, 0.7]), rng)
             assert chromatic_number(g)[1].colors == self.reference_witness(g)
 
+    def test_witness_matches_reference_search_on_sparse_graphs(self):
+        # chi <= 3 at n = 30..40: trees, even and odd cycles and bipartite
+        # G(n, p), where the greedy count is already exact
+        rng = random.Random(71)
+        for _ in range(12):
+            n = rng.randint(30, 40)
+            tree = build_graph(n, [(rng.randrange(v), v) for v in range(1, n)])
+            side = [rng.random() < 0.5 for _ in range(n)]
+            bipartite = build_graph(n, [
+                (u, v) for u, v in combinations(range(n), 2)
+                if side[u] != side[v] and rng.random() < 0.15
+            ])
+            for g in (tree, cycle_graph(n), bipartite):
+                chi, coloring = chromatic_number(g)
+                assert chi <= 3 and coloring.colors == self.reference_witness(g)
+
     def test_witness_color_count(self):
         rng = random.Random(31)
         for _ in range(30):

@@ -103,8 +103,13 @@ class TestBalloonExamples:
             assert b.z_set == {b.tip} and b.value == 1
 
     def test_cap_truncation(self):
-        balloons = enumerate_balloons(cycle_graph(5), 1, 2, cap=2)
-        assert len(balloons) == 2
+        # C5 has five (1,2)-balloons: a smaller cap raises, never truncates
+        c5 = cycle_graph(5)
+        for cap in range(5):
+            with pytest.raises(CapExceeded, match=f"more than {cap} balloons"):
+                enumerate_balloons(c5, 1, 2, cap=cap)
+        balloons = enumerate_balloons(c5, 1, 2, cap=5)
+        assert len(balloons) == 5 and balloons == enumerate_balloons(c5, 1, 2)
 
     def test_size_guard(self):
         with pytest.raises(CapExceeded):
