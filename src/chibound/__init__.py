@@ -2,8 +2,8 @@
 
 Layered API:
 
-- :mod:`chibound.graph` -- immutable bitset graphs, layers, connectivity,
-  degeneracy
+- :mod:`chibound.graph` -- immutable bitset graphs, BFS layers,
+  connectivity, degeneracy
 - :mod:`chibound.patterns` -- named pattern constructors and induced /
   subgraph detection
 - :mod:`chibound.solvers` -- exact chi, omega, alpha
@@ -11,19 +11,16 @@ Layered API:
   graph-class membership
 - :mod:`chibound.bounds` -- arbitrary-precision bound formulas and the
   registry of cited chi-binding bounds
-- :mod:`chibound.corpus` -- graph generation and graph6 / edge-list I/O
+- :mod:`chibound.corpus` -- graph generation and graph6 I/O
 """
 
 from .graph import (
     CapExceeded,
     Graph,
-    LayerDecomposition,
     build_graph,
-    components,
     degeneracy,
     induced,
     is_t_connected,
-    layers,
 )
 from .patterns import (
     Occurrence,
@@ -38,19 +35,15 @@ from .solvers import (
     chromatic_number,
     clique_number,
     independence_number,
-    optimal_binding_point,
 )
 
 __all__ = [
     "CapExceeded",
     "Graph",
-    "LayerDecomposition",
     "build_graph",
-    "components",
     "degeneracy",
     "induced",
     "is_t_connected",
-    "layers",
     "Occurrence",
     "PatternSpec",
     "find_induced",
@@ -61,7 +54,6 @@ __all__ = [
     "chromatic_number",
     "clique_number",
     "independence_number",
-    "optimal_binding_point",
 ]
 
 __version__ = "0.1.0"

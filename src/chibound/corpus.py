@@ -1,20 +1,19 @@
-"""Corpus generation and bit-exact file I/O.
+"""Corpus generation and bit-exact graph6 I/O.
 
 Generation modes: exhaustive enumeration (one canonical representative
-per isomorphism class, or raw labeled bitmask iteration), and seeded
-random sampling.  Hereditary pattern filters prune exhaustive
-generation level by level, which is what makes filtered enumeration at
-nine vertices feasible.  graph6 is the interchange format; an edge-list
-text format rides along for hand-written inputs.
+per isomorphism class) and seeded random sampling.  Hereditary pattern
+filters prune exhaustive generation level by level, which is what makes
+filtered enumeration at nine vertices feasible.  graph6 is the
+interchange format.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from dataclasses import dataclass
+from typing import Iterator
 
-from .graph import CapExceeded, Graph, bits_list, build_graph, iter_bits
+from .graph import CapExceeded, Graph, build_graph, iter_bits
 from .patterns import (
     PATTERN_KINDS,
     PatternSpec,
@@ -25,7 +24,6 @@ from .patterns import (
 )
 
 EXHAUSTIVE_MAX_N = 10
-RAW_EXHAUSTIVE_MAX_N = 7
 DEDUP_MAX_N = 10
 
 
@@ -99,42 +97,6 @@ def read_graph6(text: str) -> Graph:
             if bits[k]:
                 edges.append((i, j))
             k += 1
-    return build_graph(n, edges)
-
-
-def read_graph6_file(path: str) -> list[Graph]:
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(read_graph6(line))
-    return out
-
-
-def write_edge_list(g: Graph) -> str:
-    """Plain text: an "n m" header line then one "u v" line per edge."""
-    lines = [f"{g.n} {g.edge_count()}"]
-    lines += [f"{u} {v}" for u, v in g.edges()]
-    return "\n".join(lines) + "\n"
-
-
-def read_edge_list(text: str) -> Graph:
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines:
-        raise ValueError("empty edge-list input")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError("edge-list header must be 'n m'")
-    n, m = int(head[0]), int(head[1])
-    if len(lines) - 1 != m:
-        raise ValueError(f"expected {m} edge lines, found {len(lines) - 1}")
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad edge line {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
     return build_graph(n, edges)
 
 
@@ -273,10 +235,11 @@ class PatternFilter:
 class CorpusSpec:
     """Deterministic description of a graph corpus.
 
-    Exhaustive mode covers n_min..n_max; with ``dedup`` one canonical
-    representative per isomorphism class is produced.  Random mode
-    samples G(n, p) ``count`` times from ``seed``.  Filters apply in
-    both modes.
+    Exhaustive mode yields one canonical representative per isomorphism
+    class on n_min..n_max vertices.  Random mode samples G(n, p)
+    ``count`` times from ``seed``; ``dedup`` only affects random mode,
+    where it drops graphs isomorphic to one already yielded.  Filters
+    apply in both modes.
     """
 
     mode: str  # "exhaustive" | "random"
@@ -288,6 +251,16 @@ class CorpusSpec:
     filters: tuple[PatternFilter, ...] = ()
     dedup: bool = True
 
+    def __post_init__(self) -> None:
+        if not 1 <= self.n_min <= self.n_max:
+            raise ValueError(f"need 1 <= n_min <= n_max, got {self.n_min}..{self.n_max}")
+        if not 0 <= self.edge_prob <= 1:
+            raise ValueError(f"edge probability must lie in [0, 1], got {self.edge_prob}")
+        if self.count < 0:
+            raise ValueError(f"count must be nonnegative, got {self.count}")
+        if self.mode == "exhaustive" and not self.dedup:
+            raise ValueError("exhaustive mode yields one graph per class; dedup cannot be off")
+
     def __str__(self) -> str:
         if self.mode == "exhaustive":
             span = (
@@ -296,8 +269,6 @@ class CorpusSpec:
                 else f"n={self.n_min}..{self.n_max}"
             )
             parts = [f"exhaustive:{span}"]
-            if not self.dedup:
-                parts.append("dedup=0")
         else:
             parts = [
                 f"random:n={self.n_max},p={self.edge_prob},count={self.count},seed={self.seed}"
@@ -348,32 +319,6 @@ def _enumerate_random(spec: CorpusSpec) -> Iterator[Graph]:
 
 
 def _enumerate_exhaustive(spec: CorpusSpec) -> Iterator[Graph]:
-    if not 1 <= spec.n_min <= spec.n_max:
-        raise ValueError("need 1 <= n_min <= n_max")
-    if spec.n_max > EXHAUSTIVE_MAX_N:
-        raise CapExceeded(f"exhaustive mode supported up to n = {EXHAUSTIVE_MAX_N}")
-    if spec.dedup:
-        yield from _enumerate_canonical(spec)
-    else:
-        yield from _enumerate_bitmask(spec)
-
-
-def _enumerate_bitmask(spec: CorpusSpec) -> Iterator[Graph]:
-    """Raw labeled enumeration: every upper-triangle bitmask, filtered."""
-    if spec.n_max > RAW_EXHAUSTIVE_MAX_N:
-        raise CapExceeded(
-            f"labeled exhaustive mode supported up to n = {RAW_EXHAUSTIVE_MAX_N}"
-        )
-    for n in range(spec.n_min, spec.n_max + 1):
-        pairs = [(i, j) for j in range(1, n) for i in range(j)]
-        for mask in range(1 << len(pairs)):
-            edges = [pairs[k] for k in range(len(pairs)) if mask >> k & 1]
-            g = build_graph(n, edges)
-            if _admits_all(g, spec.filters):
-                yield g
-
-
-def _enumerate_canonical(spec: CorpusSpec) -> Iterator[Graph]:
     """One canonical representative per isomorphism class, by levelwise
     one-vertex extension with canonical dedup.
 
@@ -382,11 +327,13 @@ def _enumerate_canonical(spec: CorpusSpec) -> Iterator[Graph]:
     the level-(n-1) representatives reaches every class, and extension
     checks only need to look at occurrences through the new vertex.
     """
+    if spec.n_max > EXHAUSTIVE_MAX_N:
+        raise CapExceeded(f"exhaustive mode supported up to n = {EXHAUSTIVE_MAX_N}")
     level: dict[tuple, Graph] = {}
     single = build_graph(1, [])
     if _admits_all(single, spec.filters):
         level[canonical_key(single)] = single
-    if spec.n_min <= 1 <= spec.n_max and level:
+    if spec.n_min == 1 and level:
         yield single
     for n in range(2, spec.n_max + 1):
         nxt: dict[tuple, Graph] = {}
@@ -409,22 +356,16 @@ def _enumerate_canonical(spec: CorpusSpec) -> Iterator[Graph]:
                 yield nxt[key]
 
 
-def exhaustive_class_counts(n_max: int) -> list[int]:
-    """Isomorphism-class counts for n = 1..n_max (unfiltered)."""
-    counts = []
-    for n in range(1, n_max + 1):
-        spec = CorpusSpec(mode="exhaustive", n_min=n, n_max=n)
-        counts.append(sum(1 for _ in enumerate_graphs(spec)))
-    return counts
-
-
 # ---------------------------------------------------------------------------
 # String grammars (the CLI surface owns these shapes)
 
 
-def _parse_params(text: str, names: tuple[str, ...], context: str) -> dict[str, int]:
-    """Parse "key=value,key=value" into exactly the integer parameters ``names``."""
-    params: dict[str, int] = {}
+def _parse_params(
+    text: str, names: tuple[str, ...], context: str, optional: tuple[str, ...] = ()
+) -> dict[str, str]:
+    """Parse "key=value,key=value" into raw values: each of ``names``
+    exactly once, each of ``optional`` at most once, and no other key."""
+    params: dict[str, str] = {}
     for item in text.split(","):
         if not item:
             continue
@@ -434,13 +375,15 @@ def _parse_params(text: str, names: tuple[str, ...], context: str) -> dict[str, 
             raise ValueError(f"bad parameter {item!r} in {context!r}")
         if key in params:
             raise ValueError(f"repeated parameter {key!r} in {context!r}")
-        params[key] = int(value)
+        params[key] = value.strip()
     missing = [name for name in names if name not in params]
     if missing:
         raise ValueError(f"{context!r} is missing parameter {missing[0]!r}")
-    unknown = [key for key in params if key not in names]
+    unknown = [key for key in params if key not in names + optional]
     if unknown:
-        raise ValueError(f"unknown parameter {unknown[0]!r} in {context!r}; expected {names}")
+        raise ValueError(
+            f"unknown parameter {unknown[0]!r} in {context!r}; expected {names + optional}"
+        )
     return params
 
 
@@ -457,59 +400,55 @@ def parse_pattern(text: str) -> PatternSpec:
         raise ValueError(f"unknown pattern kind {kind!r}")
     names = PATTERN_KINDS[kind][0]
     params = _parse_params(rest, names, text)
-    return PatternSpec(kind, tuple((name, params[name]) for name in names))
+    return PatternSpec(kind, tuple((name, int(params[name])) for name in names))
+
+
+# Optional fields of each corpus mode; ``n`` is required in both.
+_CORPUS_FIELDS = {"exhaustive": (), "random": ("p", "count", "seed", "dedup")}
 
 
 def parse_corpus_spec(text: str) -> CorpusSpec:
-    """Parse corpus strings.
+    """Parse corpus strings, the inverse of ``CorpusSpec.__str__``.
 
     Examples::
 
         exhaustive:n=4
         exhaustive:n=1..7,filters=free:path:k=4
         exhaustive:n=1..9,filters=H:p=2+free:bplus:p=2,k=2,t=3
-        random:n=8,p=0.5,count=200,seed=7
+        random:n=8,p=0.5,count=200,seed=7,dedup=1
+
+    Each field of the mode appears at most once and no other field is
+    accepted; random mode defaults to p=0.5, count=100, seed=0, dedup=0.
     """
     text = text.strip()
     mode, _, rest = text.partition(":")
     mode = mode.lower()
+    if mode not in _CORPUS_FIELDS:
+        raise ValueError(f"unknown corpus mode {mode!r}")
     filters: tuple[PatternFilter, ...] = ()
-    fields: dict[str, str] = {}
     if "filters=" in rest:
         head, _, filter_text = rest.partition("filters=")
         filters = _parse_filters(filter_text)
         rest = head.rstrip(",")
-    for item in rest.split(","):
-        if not item:
-            continue
-        key, _, value = item.partition("=")
-        if not value:
-            raise ValueError(f"bad corpus field {item!r}")
-        fields[key.strip()] = value.strip()
-    if mode not in ("exhaustive", "random"):
-        raise ValueError(f"unknown corpus mode {mode!r}")
-    span = fields.get("n")
-    if span is None:
-        raise ValueError(f"{mode} corpus needs field 'n'")
+    fields = _parse_params(rest, ("n",), text, _CORPUS_FIELDS[mode])
     if mode == "exhaustive":
-        if ".." in span:
-            lo, _, hi = span.partition("..")
-            n_min, n_max = int(lo), int(hi)
-        else:
-            n_min = n_max = int(span)
-        dedup = fields.get("dedup", "1") not in ("0", "false")
-        return CorpusSpec(
-            mode="exhaustive", n_min=n_min, n_max=n_max, filters=filters, dedup=dedup
-        )
+        lo, dots, hi = fields["n"].partition("..")
+        n_min = int(lo)
+        n_max = int(hi) if dots else n_min
+        return CorpusSpec(mode="exhaustive", n_min=n_min, n_max=n_max, filters=filters)
+    dedup = fields.get("dedup", "0")
+    if dedup not in ("0", "1"):
+        raise ValueError(f"dedup must be 0 or 1 in {text!r}")
+    n = int(fields["n"])
     return CorpusSpec(
         mode="random",
-        n_min=int(span),
-        n_max=int(span),
+        n_min=n,
+        n_max=n,
         edge_prob=float(fields.get("p", "0.5")),
         count=int(fields.get("count", "100")),
         seed=int(fields.get("seed", "0")),
         filters=filters,
-        dedup=fields.get("dedup", "0") in ("1", "true"),
+        dedup=dedup == "1",
     )
 
 
@@ -523,7 +462,7 @@ def _parse_filters(text: str) -> tuple[PatternFilter, ...]:
         head, _, rest = chunk.partition(":")
         head = head.lower()
         if head == "h":
-            p = _parse_params(rest, ("p",), chunk)["p"]
+            p = int(_parse_params(rest, ("p",), chunk)["p"])
             out.append(PatternFilter(family=c4_flag_family(p), induced=True))
         elif head == "free":
             out.append(PatternFilter(family=(parse_pattern(rest),), induced=True))

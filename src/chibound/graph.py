@@ -7,7 +7,6 @@ All functions here are pure; graphs are safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
@@ -58,9 +57,6 @@ class Graph:
 
     def neighbors(self, v: int) -> list[int]:
         return bits_list(self.adj[v])
-
-    def vertices(self) -> range:
-        return range(self.n)
 
     def full_mask(self) -> int:
         return (1 << self.n) - 1
@@ -117,34 +113,6 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, tuple(adj))
 
 
-@dataclass(frozen=True)
-class LayerDecomposition:
-    """BFS distance layers from a source vertex set.
-
-    ``layers[i-1]`` holds the vertices at distance exactly i from the
-    source; ``unreachable`` holds vertices in no layer.
-    """
-
-    source: frozenset[int]
-    layers: tuple[frozenset[int], ...]
-    unreachable: frozenset[int]
-
-    def layer(self, i: int) -> frozenset[int]:
-        """Vertices at distance exactly ``i`` (i >= 1); empty beyond the last layer."""
-        if i < 1:
-            raise ValueError("layer index starts at 1")
-        if i > len(self.layers):
-            return frozenset()
-        return self.layers[i - 1]
-
-    def at_least(self, i: int) -> frozenset[int]:
-        """Union of all layers at distance >= i."""
-        out: set[int] = set()
-        for layer in self.layers[max(i - 1, 0):]:
-            out |= layer
-        return frozenset(out)
-
-
 def bfs_layers(g: Graph, start: int, within: int) -> list[int]:
     """Breadth-first layer masks inside the induced set ``within``.
 
@@ -167,21 +135,6 @@ def bfs_layers(g: Graph, start: int, within: int) -> list[int]:
         frontier = nxt & within & ~seen
         seen |= frontier
     return out
-
-
-def layers(g: Graph, source: Iterable[int]) -> LayerDecomposition:
-    """Decompose V(g) into BFS distance layers from a nonempty source set."""
-    src_mask = mask_of(source)
-    if src_mask == 0:
-        raise ValueError("source set must be nonempty")
-    if src_mask >> g.n:
-        raise ValueError("source contains out-of-range vertices")
-    found = bfs_layers(g, src_mask, g.full_mask())
-    return LayerDecomposition(
-        source=frozenset(iter_bits(src_mask)),
-        layers=tuple(frozenset(iter_bits(layer)) for layer in found[1:]),
-        unreachable=frozenset(iter_bits(g.full_mask() & ~sum(found))),
-    )
 
 
 def induced(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
@@ -212,11 +165,6 @@ def components_masks(g: Graph, within: int) -> list[int]:
         out.append(comp)
         rest &= ~comp
     return out
-
-
-def components(g: Graph) -> list[frozenset[int]]:
-    """Connected components as vertex sets, ordered by smallest member."""
-    return [frozenset(iter_bits(m)) for m in components_masks(g, g.full_mask())]
 
 
 def _component_mask(g: Graph, start_mask: int, within: int) -> int:

@@ -24,12 +24,6 @@ class PatternSpec:
     kind: str
     params: tuple[tuple[str, int], ...]
 
-    def __getitem__(self, name: str) -> int:
-        for key, value in self.params:
-            if key == name:
-                return value
-        raise KeyError(name)
-
     def __str__(self) -> str:
         if not self.params:
             return self.kind

@@ -238,20 +238,3 @@ def _rank_relabel(
             adj[rank[low.bit_length() - 1]] |= bit
             row ^= low
     return rank, adj
-
-
-def optimal_binding_point(corpus: Iterable[Graph], w: int) -> int | None:
-    """Max chi over corpus graphs whose clique number equals ``w``.
-
-    Returns ``None`` when no corpus graph attains that clique number,
-    which is distinct from a chromatic value of 0.
-    """
-    best: int | None = None
-    for g in corpus:
-        omega, _ = clique_number(g)
-        if omega != w:
-            continue
-        chi, _ = chromatic_number(g)
-        if best is None or chi > best:
-            best = chi
-    return best

@@ -279,11 +279,6 @@ def _far_region(g: Graph, b: Balloon) -> tuple[list[int], int, int]:
     return body_layers, dmax, top
 
 
-def balloon_tip_degree(g: Graph, b: Balloon) -> int:
-    """Number of body neighbors of the tip (at least t in a valid balloon)."""
-    return (g.adj[b.tip] & mask_of(b.body)).bit_count()
-
-
 # ---------------------------------------------------------------------------
 # Bicliques
 

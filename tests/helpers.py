@@ -274,7 +274,7 @@ def _is_connected_on(g: Graph, vertices: list[int]) -> bool:
 
 
 def bfs_distances(g: Graph, source: int) -> list[int]:
-    """Single-source distances, -1 when unreachable (independent of layers())."""
+    """Single-source distances, -1 when unreachable (independent of bfs_layers())."""
     dist = [-1] * g.n
     dist[source] = 0
     frontier = [source]

@@ -4,20 +4,19 @@ from itertools import permutations
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
+from networkx.algorithms.isomorphism import GraphMatcher
 
 from chibound.graph import CapExceeded, build_graph
 from chibound.corpus import (
+    DEDUP_MAX_N,
     CorpusSpec,
     PatternFilter,
     canonical_graph,
     canonical_key,
     enumerate_graphs,
-    exhaustive_class_counts,
     parse_corpus_spec,
     parse_pattern,
-    read_edge_list,
     read_graph6,
-    write_edge_list,
     write_graph6,
 )
 from chibound.patterns import PATTERN_KINDS, PatternSpec
@@ -110,20 +109,6 @@ class TestGraph6:
         assert read_graph6(s) == g
 
 
-class TestEdgeList:
-    def test_round_trip(self):
-        g = petersen_graph()
-        assert read_edge_list(write_edge_list(g)) == g
-
-    def test_bad_header(self):
-        with pytest.raises(ValueError):
-            read_edge_list("3\n0 1\n")
-
-    def test_wrong_edge_count(self):
-        with pytest.raises(ValueError):
-            read_edge_list("3 2\n0 1\n")
-
-
 def brute_canonical_key(g):
     """Minimum column-order bit tuple over all vertex permutations."""
     best = None
@@ -207,18 +192,55 @@ class TestExhaustiveEnumeration:
         assert sum(1 for _ in enumerate_graphs(CorpusSpec("exhaustive", 4, 4))) == 11
 
     def test_classical_counts_through_7(self):
-        assert exhaustive_class_counts(7) == [1, 2, 4, 11, 34, 156, 1044]
+        counts = [0] * 8
+        for g in enumerate_graphs(CorpusSpec("exhaustive", 1, 7)):
+            counts[g.n] += 1
+        assert counts[1:] == [1, 2, 4, 11, 34, 156, 1044]
 
     def test_matches_bitmask_oracle_small(self):
-        # raw labeled enumeration + canonical dedup must agree with the
-        # extension-based canonical enumerator
+        # raw labelled enumeration over every edge bitmask + canonical dedup
+        # must agree with the extension-based canonical enumerator
         for n in range(1, 6):
-            spec_raw = CorpusSpec("exhaustive", n, n, dedup=False)
-            raw_classes = {canonical_key(g) for g in enumerate_graphs(spec_raw)}
-            spec_canon = CorpusSpec("exhaustive", n, n)
-            canon = list(enumerate_graphs(spec_canon))
+            pairs = [(u, v) for v in range(n) for u in range(v)]
+            raw_classes = {
+                canonical_key(
+                    build_graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+                )
+                for mask in range(1 << len(pairs))
+            }
+            canon = list(enumerate_graphs(CorpusSpec("exhaustive", n, n)))
             assert {canonical_key(g) for g in canon} == raw_classes
             assert len(canon) == len(raw_classes)
+
+    def test_matches_atlas_oracle(self):
+        # networkx's atlas lists every graph on up to 7 vertices once per
+        # isomorphism class, independently of canonical_key
+        atlas = nx.graph_atlas_g()
+        counts = []
+        for n in range(1, 8):
+            expected = {
+                canonical_key(build_graph(n, h.edges()))
+                for h in atlas
+                if h.number_of_nodes() == n
+            }
+            found = [canonical_key(g) for g in enumerate_graphs(CorpusSpec("exhaustive", n, n))]
+            assert len(found) == len(set(found)) == len(expected)
+            assert set(found) == expected
+            counts.append(len(found))
+        assert counts == [1, 2, 4, 11, 34, 156, 1044]
+
+    def test_filtered_matches_atlas_oracle(self):
+        # induced P5- and C4-freeness decided by networkx's GraphMatcher
+        forbidden = [nx.path_graph(5), nx.cycle_graph(4)]
+        expected = [0] * 8
+        for h in nx.graph_atlas_g():
+            if not any(GraphMatcher(h, f).subgraph_is_isomorphic() for f in forbidden):
+                expected[h.number_of_nodes()] += 1
+        spec = parse_corpus_spec("exhaustive:n=1..7,filters=free:path:k=5+free:cycle:k=4")
+        found = [0] * 8
+        for g in enumerate_graphs(spec):
+            found[g.n] += 1
+        assert found[1:] == expected[1:] == [1, 2, 4, 10, 27, 87, 308]
 
     def test_range_mode(self):
         total = sum(1 for _ in enumerate_graphs(CorpusSpec("exhaustive", 1, 4)))
@@ -264,8 +286,8 @@ class TestExhaustiveEnumeration:
     def test_caps(self):
         with pytest.raises(CapExceeded):
             list(enumerate_graphs(CorpusSpec("exhaustive", 1, 11)))
-        with pytest.raises(CapExceeded):
-            list(enumerate_graphs(CorpusSpec("exhaustive", 1, 8, dedup=False)))
+        with pytest.raises(ValueError, match="dedup"):
+            list(enumerate_graphs(CorpusSpec("exhaustive", 1, 5, dedup=False)))
 
 
 class TestRandomMode:
@@ -288,6 +310,30 @@ class TestRandomMode:
         )
         for g in enumerate_graphs(spec):
             assert flt.admits(g)
+
+    def test_dedup_yields_one_graph_per_class(self):
+        text = "random:n=6,p=0.4,count=300,seed=5,dedup=1,filters=free:path:k=4"
+        spec = parse_corpus_spec(text)
+        assert spec.dedup and str(spec) == text
+        found = list(enumerate_graphs(spec))
+        assert len(found) > 10
+        for g in found:
+            assert all(f.admits(g) for f in spec.filters)
+        nx_graphs = [to_networkx(g) for g in found]
+        for i, a in enumerate(nx_graphs):
+            for b in nx_graphs[i + 1 :]:
+                assert not nx.is_isomorphic(a, b)
+        # the same draws without dedup repeat classes, and every one of
+        # them is isomorphic to a graph kept
+        raw = list(enumerate_graphs(parse_corpus_spec(text.replace("dedup=1", "dedup=0"))))
+        assert len(raw) > len(found)
+        for g in raw:
+            assert any(nx.is_isomorphic(to_networkx(g), b) for b in nx_graphs)
+
+    def test_dedup_cap(self):
+        spec = parse_corpus_spec(f"random:n={DEDUP_MAX_N + 1},count=1,dedup=1")
+        with pytest.raises(CapExceeded):
+            list(enumerate_graphs(spec))
 
 
 class TestGrammar:
@@ -347,8 +393,8 @@ class TestGrammar:
     def test_corpus_round_trip(self):
         for text in [
             "exhaustive:n=4",
-            "exhaustive:n=1..7,dedup=0",
             "random:n=8,p=0.25,count=50,seed=9",
+            "random:n=8,p=0.25,count=50,seed=9,dedup=1",
             "exhaustive:n=4,filters=H:p=2",
             "exhaustive:n=1..9,filters=H:p=3+free:bplus:p=2,k=2,t=3",
             "exhaustive:n=1..5,filters=free:cycle:k=4+free:flag:p=2",
@@ -377,3 +423,22 @@ class TestGrammar:
             parse_corpus_spec("exhaustive:n=4,filters=H:q=2")
         with pytest.raises(ValueError, match="'p'"):
             parse_corpus_spec("exhaustive:n=4,filters=H")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "random:n=8,prob=0.3",
+            "exhaustive:n=4,dedup=no",
+            "random:n=8,p=0.3,dedup=yes",
+            "exhaustive:n=4,n=5",
+            "exhaustive:n=4,seed=3",
+            "random:n=8,p=1.5",
+            "random:n=8,count=-3",
+            "exhaustive:n=5..3",
+            "exhaustive:n=1..7,dedup=0",
+            "exhaustive:n=4..",
+        ],
+    )
+    def test_corpus_rejects_unreadable(self, text):
+        with pytest.raises(ValueError):
+            parse_corpus_spec(text)

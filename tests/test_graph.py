@@ -8,13 +8,12 @@ from chibound.graph import (
     _t_connected_mask,
     bfs_layers,
     build_graph,
-    components,
     components_masks,
     degeneracy,
     induced,
     is_t_connected,
     iter_bits,
-    layers,
+    mask_of,
 )
 
 from helpers import (
@@ -64,33 +63,21 @@ class TestBuildGraph:
 
 
 class TestLayers:
+    """Distance layers of the whole graph from one vertex, as bit masks."""
+
     def test_p4_from_endpoint(self):
         g = path_graph(4)
-        dec = layers(g, {0})
-        assert dec.layer(1) == {1}
-        assert dec.layer(2) == {2}
-        assert dec.layer(3) == {3}
-        assert dec.unreachable == frozenset()
+        assert bfs_layers(g, 1 << 0, g.full_mask()) == [0b1, 0b10, 0b100, 0b1000]
 
     def test_k4_single_layer(self):
-        dec = layers(complete_graph(4), {0})
-        assert dec.layer(1) == {1, 2, 3}
-        assert dec.layer(2) == frozenset()
+        g = complete_graph(4)
+        assert bfs_layers(g, 1 << 0, g.full_mask()) == [0b1, 0b1110]
 
     def test_disjoint_edges_unreachable(self):
         g = build_graph(4, [(0, 1), (2, 3)])
-        dec = layers(g, {0})
-        assert dec.layer(1) == {1}
-        assert dec.unreachable == {2, 3}
-
-    def test_empty_source_rejected(self):
-        with pytest.raises(ValueError):
-            layers(path_graph(3), set())
-
-    def test_at_least_union(self):
-        g = path_graph(6)
-        dec = layers(g, {0})
-        assert dec.at_least(3) == {3, 4, 5}
+        found = bfs_layers(g, 1 << 0, g.full_mask())
+        assert found == [0b1, 0b10]
+        assert g.full_mask() & ~sum(found) == 0b1100
 
     def test_against_bfs_distances(self):
         # layer i must be exactly the set at shortest-path distance i
@@ -99,12 +86,12 @@ class TestLayers:
             n = rng.randint(2, 50)
             g = random_graph(n, rng.choice([0.05, 0.1, 0.3]), rng)
             src = rng.randrange(n)
-            dec = layers(g, {src})
+            found = bfs_layers(g, 1 << src, g.full_mask())
             dist = bfs_distances(g, src)
-            for i in range(1, n):
-                expected = {v for v in range(n) if dist[v] == i}
-                assert dec.layer(i) == expected
-            assert dec.unreachable == {v for v in range(n) if dist[v] < 0}
+            for i in range(n):
+                expected = mask_of(v for v in range(n) if dist[v] == i)
+                assert (found[i] if i < len(found) else 0) == expected
+            assert g.full_mask() & ~sum(found) == mask_of(v for v in range(n) if dist[v] < 0)
 
 
 class TestInduced:
@@ -143,18 +130,19 @@ class TestInduced:
 class TestComponents:
     def test_two_triangles(self):
         g = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-        assert components(g) == [frozenset({0, 1, 2}), frozenset({3, 4, 5})]
+        assert components_masks(g, g.full_mask()) == [0b111, 0b111000]
 
     def test_k1(self):
-        assert components(build_graph(1, [])) == [frozenset({0})]
+        assert components_masks(build_graph(1, []), 0b1) == [0b1]
 
     def test_p5_single_component(self):
-        assert components(path_graph(5)) == [frozenset(range(5))]
+        g = path_graph(5)
+        assert components_masks(g, g.full_mask()) == [g.full_mask()]
 
     def test_ordered_by_smallest_member(self):
         g = build_graph(5, [(1, 3), (0, 4)])
-        comps = components(g)
-        assert [min(c) for c in comps] == sorted(min(c) for c in comps)
+        comps = components_masks(g, g.full_mask())
+        assert comps == [0b10001, 0b1010, 0b100]
 
 
 class TestBfsLayers:

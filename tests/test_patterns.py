@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
-from chibound.graph import build_graph, layers
+from chibound.graph import bfs_layers, build_graph, iter_bits
 from chibound.patterns import (
     PatternSpec,
     _plans,
@@ -58,10 +58,10 @@ class TestConstructors:
         for p, k, t in [(2, 2, 3), (2, 3, 3), (3, 2, 4)]:
             g = make_pattern(PatternSpec.bplus(p, k, t))
             degree_one = [v for v in range(g.n) if g.degree(v) == 1]
-            dec = layers(g, {0})
-            # exactly one extra pendant at distance k+? wait: pendant hangs at
-            # distance k from the center, so the pendant itself is at k+1
-            pendants_at_k1 = [v for v in degree_one if v in dec.layer(k + 1)]
+            found = bfs_layers(g, 1 << 0, g.full_mask())
+            # the pendant hangs at distance k from the center, so the
+            # pendant itself is at k+1
+            pendants_at_k1 = [v for v in degree_one if found[k + 1] >> v & 1]
             assert len(pendants_at_k1) >= 1
 
     def test_kdt_2_2_is_c4(self):
@@ -109,9 +109,9 @@ class TestConstructors:
     def test_uniform_tree_invariants(self, zeta, eta):
         g = make_pattern(PatternSpec.uniform_tree(zeta, eta))
         assert g.n == sum(zeta**i for i in range(eta + 1))
-        dec = layers(g, {0})
+        found = bfs_layers(g, 1 << 0, g.full_mask())
         leaves = [v for v in range(1, g.n) if g.degree(v) == 1]
-        assert set(leaves) == set(dec.layer(eta))
+        assert leaves == list(iter_bits(found[eta]))
         for v in range(g.n):
             if v == 0:
                 assert g.degree(0) == zeta

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chibound.graph import CapExceeded, build_graph, degeneracy, induced
-from chibound.patterns import PatternSpec, make_pattern
+from chibound.patterns import PatternSpec, find_induced, make_pattern
 from chibound.solvers import (
     Coloring,
     _dsatur,
@@ -14,7 +14,6 @@ from chibound.solvers import (
     chromatic_number,
     clique_number,
     independence_number,
-    optimal_binding_point,
 )
 
 from helpers import (
@@ -234,35 +233,16 @@ class TestSandwichInvariants:
         assert omega <= chi <= degeneracy(g)[0] + 1
         assert coloring.is_proper(g) and coloring.count == chi
 
-
-class TestOptimalBindingPoint:
-    def test_single_k3(self):
-        assert optimal_binding_point([complete_graph(3)], 3) == 3
-
-    def test_no_graph_marker(self):
-        assert optimal_binding_point([complete_graph(3)], 2) is None
-
-    def test_distinct_from_zero(self):
-        # an edgeless corpus has omega=1 members but no omega=2 members
-        corpus = [build_graph(3, [])]
-        assert optimal_binding_point(corpus, 1) == 1
-        assert optimal_binding_point(corpus, 2) is None
-
     def test_p4_free_equality_small(self):
-        # on P4-free graphs chi equals omega, so the binding point is w itself
+        # P4-free graphs are perfect, so chi equals omega
         rng = random.Random(47)
-        corpus = []
         p4 = path_graph(4)
-        from chibound.patterns import find_induced
-
-        while len(corpus) < 40:
+        checked = 0
+        while checked < 40:
             g = random_graph(rng.randint(1, 6), rng.choice([0.3, 0.6]), rng)
             if find_induced(g, p4) is None:
-                corpus.append(g)
-        for w in range(1, 6):
-            point = optimal_binding_point(corpus, w)
-            if point is not None:
-                assert point == w
+                assert chromatic_number(g)[0] == clique_number(g)[0], g.edges()
+                checked += 1
 
 
 class TestChiOfSubset:
