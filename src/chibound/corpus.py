@@ -31,6 +31,15 @@ DEDUP_MAX_N = 10
 # graph6 codec
 
 
+# graph6 stores the upper triangle column by column: bit x(i, j) of the
+# edge ij, i < j, is stream bit j(j-1)/2 + i.  Read as one int with stream
+# bit k at bit k, column j is the j bits from j(j-1)/2 up, which is
+# exactly vertex j's row below j.  Each character carries six stream bits,
+# the first one most significant, as its value plus 63.
+_G6_BITS = {63 + v: format(v, "06b") for v in range(64)}
+_G6_CHARS = {bits: chr(code) for code, bits in _G6_BITS.items()}
+
+
 def write_graph6(g: Graph) -> str:
     """Encode to graph6: the vertex count then the upper triangle of the
     adjacency matrix column by column, six bits per printable character."""
@@ -43,31 +52,28 @@ def write_graph6(g: Graph) -> str:
         )
     else:
         raise ValueError("graph6 encoding supported up to n = 258047")
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if g.has_edge(i, j) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    chars = []
-    for k in range(0, len(bits), 6):
-        value = 0
-        for b in bits[k : k + 6]:
-            value = value << 1 | b
-        chars.append(chr(value + 63))
-    return header + "".join(chars)
+    stream = 0
+    for j in range(n - 1, 0, -1):
+        stream = stream << j | g.adj[j] & ((1 << j) - 1)
+    width = 6 * ((n * (n - 1) // 2 + 5) // 6)
+    bits = format(stream, "b")[::-1].ljust(width, "0")  # only the first width bits are read
+    return header + "".join(_G6_CHARS[bits[k : k + 6]] for k in range(0, width, 6))
 
 
 def read_graph6(text: str) -> Graph:
-    """Decode a graph6 line; strict about length, character range and padding."""
+    """Decode a graph6 line; strict about length, character range and padding.
+
+    The body becomes one int whose column slices are the rows below each
+    vertex (see ``_G6_BITS``); mirroring them upward gives the rows.
+    """
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<") :]
     if not s:
         raise ValueError("empty graph6 string")
-    for ch in s:
-        if not 63 <= ord(ch) <= 126:
-            raise ValueError(f"non-printable graph6 character {ch!r}")
+    if min(s) < "?" or max(s) > "~":
+        ch = next(ch for ch in s if not "?" <= ch <= "~")
+        raise ValueError(f"non-printable graph6 character {ch!r}")
     if s[0] == "~":
         if len(s) < 4:
             raise ValueError("truncated graph6 header")
@@ -84,20 +90,20 @@ def read_graph6(text: str) -> Graph:
         raise ValueError(
             f"graph6 body length {len(body)} does not match n={n} (want {nchars})"
         )
-    bits = []
-    for ch in body:
-        value = ord(ch) - 63
-        bits.extend((value >> shift) & 1 for shift in (5, 4, 3, 2, 1, 0))
-    if any(bits[nbits:]):
+    stream = int(body.translate(_G6_BITS)[::-1], 2) if body else 0
+    if stream >> nbits:
         raise ValueError("nonzero padding bits in graph6 body")
-    edges = []
-    k = 0
+    adj = [0] * n
     for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                edges.append((i, j))
-            k += 1
-    return build_graph(n, edges)
+        row = stream & ((1 << j) - 1)
+        stream >>= j
+        adj[j] |= row
+        bit = 1 << j
+        while row:
+            low = row & -row
+            adj[low.bit_length() - 1] |= bit
+            row ^= low
+    return Graph(n, tuple(adj))
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +242,10 @@ class CorpusSpec:
     """Deterministic description of a graph corpus.
 
     Exhaustive mode yields one canonical representative per isomorphism
-    class on n_min..n_max vertices.  Random mode samples G(n, p)
-    ``count`` times from ``seed``; ``dedup`` only affects random mode,
-    where it drops graphs isomorphic to one already yielded.  Filters
-    apply in both modes.
+    class on n_min..n_max vertices.  Random mode samples G(n, p), with
+    n = n_min = n_max, ``count`` times from ``seed``; ``dedup`` only
+    affects random mode, where it drops graphs isomorphic to one already
+    yielded.  Filters apply in both modes.
     """
 
     mode: str  # "exhaustive" | "random"
@@ -260,6 +266,10 @@ class CorpusSpec:
             raise ValueError(f"count must be nonnegative, got {self.count}")
         if self.mode == "exhaustive" and not self.dedup:
             raise ValueError("exhaustive mode yields one graph per class; dedup cannot be off")
+        if self.mode == "random" and self.n_min != self.n_max:
+            raise ValueError(
+                f"random mode samples one vertex count, got {self.n_min}..{self.n_max}"
+            )
 
     def __str__(self) -> str:
         if self.mode == "exhaustive":
@@ -453,12 +463,16 @@ def parse_corpus_spec(text: str) -> CorpusSpec:
 
 
 def _parse_filters(text: str) -> tuple[PatternFilter, ...]:
-    """Filters are joined by "+": "H:p=2", "free:<pattern>", "nosub:<pattern>"."""
+    """Filters are joined by "+": "H:p=2", "free:<pattern>", "nosub:<pattern>".
+
+    Every chunk between the "+" signs must be a filter: an empty one
+    would not survive the round trip through ``CorpusSpec.__str__``.
+    """
     out: list[PatternFilter] = []
     for chunk in text.split("+"):
         chunk = chunk.strip()
         if not chunk:
-            continue
+            raise ValueError(f"empty filter in {text!r}")
         head, _, rest = chunk.partition(":")
         head = head.lower()
         if head == "h":

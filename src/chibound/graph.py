@@ -2,7 +2,8 @@
 
 Vertex ids are exactly 0..n-1.  Adjacency rows are Python ints used as
 bitsets, so every set operation is a word operation regardless of n.
-All functions here are pure; graphs are safe to share across threads.
+All functions here are pure; graphs are safe to share across threads
+(a graph's memos are written once, see :class:`Graph`).
 """
 
 from __future__ import annotations
@@ -38,14 +39,21 @@ class Graph:
 
     ``adj[v]`` is the neighbor bitset of ``v``.  Use :func:`build_graph`
     to construct from an edge list with validation.
+
+    Two values are memoised on first use: ``_hash`` and ``_clique``, the
+    ``(size, mask)`` maximum clique that the solvers search once per
+    graph and share between ``clique_number`` and ``chromatic_number``.
+    Each is a pure function of ``adj``, so two threads racing to fill a
+    memo store equal values and either write may win.
     """
 
-    __slots__ = ("n", "adj", "_hash")
+    __slots__ = ("n", "adj", "_hash", "_clique")
 
     def __init__(self, n: int, adj: tuple[int, ...]):
         self.n = n
         self.adj = adj
         self._hash = None
+        self._clique = None
 
     # -- basic accessors --------------------------------------------------
 

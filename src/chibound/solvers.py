@@ -8,6 +8,10 @@ vertex mask of the host rows: one saturation search whose first descent
 is the greedy upper bound, and which, with a maximum clique precolored,
 refutes each smaller color count or finds the optimal witness.  Every
 clique number comes from one branch and bound, :func:`_max_clique`.
+The maximum clique of a whole graph is searched at most once per
+:class:`~chibound.graph.Graph` and kept on it (:func:`_graph_clique`),
+so ``clique_number`` and ``chromatic_number`` on one graph, in either
+order, share it.
 """
 
 from __future__ import annotations
@@ -40,8 +44,15 @@ class Coloring:
 
 def clique_number(g: Graph) -> tuple[int, frozenset[int]]:
     """Exact maximum clique size with a witness (see :func:`_max_clique`)."""
-    size, mask = _max_clique(g.adj, g.full_mask())
+    size, mask = _graph_clique(g)
     return size, frozenset(iter_bits(mask))
+
+
+def _graph_clique(g: Graph) -> tuple[int, int]:
+    """``_max_clique`` of all of ``g``, searched on first use and kept on ``g``."""
+    if g._clique is None:
+        g._clique = _max_clique(g.adj, g.full_mask())
+    return g._clique
 
 
 def _max_clique(rows: Sequence[int], within: int) -> tuple[int, int]:
@@ -169,7 +180,7 @@ def chromatic_number(g: Graph, max_n: int = 40) -> tuple[int, Coloring]:
     tried in ascending order; this fixes the witness.  Refuses graphs
     above ``max_n`` vertices rather than returning a heuristic answer.
     """
-    k, colors, rank = _chi(g.adj, g.full_mask(), max_n)
+    k, colors, rank = _chi(g, g.full_mask(), max_n)
     return k, Coloring(tuple(map(colors.__getitem__, rank)), k)
 
 
@@ -183,29 +194,33 @@ def chi_of_subset(g: Graph, vertices: Iterable[int], max_n: int = 40) -> int:
     mask = mask_of(vertices)
     if mask >> g.n:
         raise ValueError("vertices out of range")
-    return _chi(g.adj, mask, max_n)[0]
+    return _chi(g, mask, max_n)[0]
 
 
-def _chi(rows: tuple[int, ...], mask: int, max_n: int) -> tuple[int, list[int], list[int]]:
-    """Chromatic number of the subgraph of ``rows`` induced on ``mask``.
+def _chi(g: Graph, mask: int, max_n: int) -> tuple[int, list[int], list[int]]:
+    """Chromatic number of the subgraph of ``g`` induced on ``mask``.
 
     One rank relabelling (:func:`_rank_relabel`) and one saturation
     search (:func:`_dsatur`): its first descent is the greedy bound,
     exact when at most 3 (DSATUR is exact on bipartite graphs; Brélaz
-    1979).  Above that, a :func:`_max_clique` on host ids is precolored
-    in ascending id, and each k from omega up is refuted or is optimal.
+    1979).  Above that, a maximum clique on host ids is precolored in
+    ascending id, and each k from omega up is refuted or is optimal; for
+    the whole graph it is the one kept on ``g`` (:func:`_graph_clique`),
+    for a proper subset a fresh :func:`_max_clique` on the mask.
     Returns ``(k, colors by rank, rank)``; refuses over ``max_n`` vertices.
     """
     n = mask.bit_count()
     if n > max_n:
         raise CapExceeded(f"chromatic_number cap is {max_n} vertices, got {n}")
+    rows = g.adj
     rank, adj = _rank_relabel(rows, bits_list(mask), mask)
     if not mask:
         return 0, [], rank
     greedy = _dsatur(adj, n, [])
     ub = max(greedy) + 1
     if ub > 3:
-        omega, clique = _max_clique(rows, mask)
+        whole = mask == g.full_mask()
+        omega, clique = _graph_clique(g) if whole else _max_clique(rows, mask)
         precolored = [rank[u] for u in iter_bits(clique)]
         for k in range(omega, ub):
             colors = _dsatur(adj, k, precolored)

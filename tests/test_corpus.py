@@ -3,10 +3,10 @@ from itertools import permutations
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
-from chibound.graph import CapExceeded, build_graph
+from chibound.graph import CapExceeded, Graph, build_graph
 from chibound.corpus import (
     DEDUP_MAX_N,
     CorpusSpec,
@@ -30,6 +30,16 @@ from helpers import (
     random_graph,
     to_networkx,
 )
+
+
+@st.composite
+def graph6_graphs(draw, max_n: int = 70) -> Graph:
+    """A labelled graph on 0..max_n vertices, up to the "~" long header:
+    each vertex pair in row order is an edge when its bit of a drawn int is set."""
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.integers(0, (1 << len(pairs)) - 1))
+    return build_graph(n, [e for k, e in enumerate(pairs) if keep >> k & 1])
 
 
 class TestGraph6:
@@ -107,6 +117,19 @@ class TestGraph6:
         s = write_graph6(g)
         assert s.startswith("~")
         assert read_graph6(s) == g
+
+    # an encoder written elsewhere: networkx's graph6 writer and reader
+    @settings(max_examples=120)
+    @given(g=graph6_graphs())
+    @example(g=path_graph(63))
+    @example(g=complete_graph(70))
+    def test_agrees_with_networkx(self, g):
+        line = nx.to_graph6_bytes(to_networkx(g), header=False).decode().rstrip("\n")
+        assert write_graph6(g) == line
+        assert read_graph6(line) == g
+        theirs = nx.from_graph6_bytes(write_graph6(g).encode())
+        assert theirs.number_of_nodes() == g.n
+        assert sorted(tuple(sorted(e)) for e in theirs.edges()) == g.edges()
 
 
 def brute_canonical_key(g):
@@ -404,6 +427,13 @@ class TestGrammar:
             assert str(spec) == text
             assert parse_corpus_spec(str(spec)) == spec
 
+    def test_random_mode_takes_one_n(self):
+        with pytest.raises(ValueError, match="one vertex count"):
+            CorpusSpec("random", 1, 8, count=2)
+        spec = CorpusSpec("random", 8, 8, count=2)
+        assert parse_corpus_spec(str(spec)) == spec
+        assert [g.n for g in enumerate_graphs(spec)] == [8, 8]
+
     def test_corpus_random(self):
         spec = parse_corpus_spec("random:n=8,p=0.25,count=50,seed=9")
         assert spec.mode == "random" and spec.edge_prob == 0.25 and spec.seed == 9
@@ -437,6 +467,10 @@ class TestGrammar:
             "exhaustive:n=5..3",
             "exhaustive:n=1..7,dedup=0",
             "exhaustive:n=4..",
+            "exhaustive:n=4,filters=",
+            "exhaustive:n=4,filters=+",
+            "exhaustive:n=1..5,filters=free:path:k=4++free:cycle:k=4",
+            "random:n=6,filters=H:p=2+",
         ],
     )
     def test_corpus_rejects_unreadable(self, text):

@@ -4,7 +4,8 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chibound.graph import CapExceeded, build_graph, degeneracy, induced
+from chibound import solvers
+from chibound.graph import CapExceeded, Graph, build_graph, degeneracy, induced
 from chibound.patterns import PatternSpec, find_induced, make_pattern
 from chibound.solvers import (
     Coloring,
@@ -295,3 +296,42 @@ class TestChiOfSubset:
             chi_of_subset(cycle_graph(5), [0, 5])
         with pytest.raises(CapExceeded):
             chi_of_subset(cycle_graph(5), range(5), max_n=4)
+
+
+class TestCliqueSharing:
+    """The maximum clique of a whole graph is searched once and kept on it."""
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        calls = []
+        search = solvers._max_clique
+
+        def counted(rows, within):
+            calls.append(within)
+            return search(rows, within)
+
+        monkeypatch.setattr(solvers, "_max_clique", counted)
+        return calls
+
+    @pytest.mark.parametrize("omega_first", [True, False])
+    def test_one_search_for_omega_and_chi(self, searches, omega_first):
+        rng = random.Random(71)
+        for _ in range(10):
+            g = random_graph(rng.randint(12, 20), rng.choice([0.5, 0.7]), rng)
+            if omega_first:
+                omega = clique_number(g)
+                chi = chromatic_number(g)
+            else:
+                chi = chromatic_number(g)
+                omega = clique_number(g)
+            assert chi[0] > 3  # past the greedy path, so chi needs the clique
+            assert searches == [g.full_mask()]
+            fresh = Graph(g.n, g.adj)
+            assert clique_number(fresh) == omega
+            assert chromatic_number(Graph(g.n, g.adj)) == chi
+            searches.clear()
+
+    def test_no_search_for_bipartite_chi(self, searches):
+        for g in (cycle_graph(6), path_graph(9), make_pattern(PatternSpec.biclique(3, 4))):
+            assert chromatic_number(g)[0] == 2
+        assert searches == []
