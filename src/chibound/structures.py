@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, product
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .graph import (
     CapExceeded,
@@ -129,18 +129,32 @@ def enumerate_balloons(
 ) -> list[Balloon]:
     """Exhaustively enumerate the (p,t)-balloons of ``g``.
 
-    Paths come in lexicographic sequence order; candidate bodies per
-    path by increasing size then lexicographic.  A t-connected body has
-    minimum degree at least t, so it lies inside the t-core of the
-    path's admissible region (the largest subset of minimum degree at
-    least t, :func:`_core_mask`): a path whose tip is outside that core
-    has no body, and otherwise only the connected sets of the core that
-    contain the tip are generated (:func:`_connected_bodies`).  Within
-    one call each body mask gets one t-connectivity test, each z-set one
-    chi, and each body and z-set mask one frozenset, shared by every
-    balloon that carries it.  Raises :class:`CapExceeded` when the graph
-    is larger than ``BALLOON_MAX_N`` and when there are more than ``cap``
-    balloons, so a returned list is always complete.
+    Paths come in lexicographic sequence order; bodies per path by
+    increasing size then lexicographic.  A t-connected body Y has more
+    than t vertices and minimum degree at least t, so it lies inside the
+    t-core of the path's admissible region (the largest subset of
+    minimum degree at least t, :func:`_core_mask`): a path whose tip is
+    outside that core has no body, and otherwise only the connected sets
+    of the core that contain the tip, have more than t vertices and
+    minimum degree at least t are generated (:func:`_connected_bodies`).
+
+    The verdicts come from one pass over the union of every path's
+    candidates, by increasing size.  Every member of a candidate Y has at
+    least t neighbours in Y, so if Y - v is a candidate already proven
+    t-connected for some v in Y (the tip included), Y is t-connected by
+    the expansion lemma (West, *Introduction to Graph Theory*, Lemma
+    4.2.3) and needs no flow; only the others go to
+    :func:`_t_connected_mask`.  The pass covers the whole call rather
+    than one path at a time, so the set of masks that get a flow test is
+    a function of the candidate set alone and does not depend on which
+    tip reaches a body first, that is, on the vertex labels.
+
+    Within one call each body mask gets at most one t-connectivity test,
+    each z-set one chi, and each body and z-set mask one frozenset,
+    shared by every balloon that carries it.  Raises
+    :class:`CapExceeded` when the graph is larger than ``BALLOON_MAX_N``
+    and when there are more than ``cap`` balloons, so a returned list is
+    always complete.
     """
     if p < 1 or t < 1:
         raise ValueError("p and t must be >= 1")
@@ -149,7 +163,6 @@ def enumerate_balloons(
             f"balloon enumeration cap is {BALLOON_MAX_N} vertices, got {g.n}"
         )
     out: list[Balloon] = []
-    connected: dict[int, bool] = {}
     chi_of_z: dict[int, int] = {}
     sets: dict[int, frozenset[int]] = {}
 
@@ -159,6 +172,7 @@ def enumerate_balloons(
             found = sets[mask] = frozenset(iter_bits(mask))
         return found
 
+    candidates: list[tuple[tuple[int, ...], list[int]]] = []
     for path in _induced_paths(g, p):
         tip = path[-1]
         tip_bit = 1 << tip
@@ -170,19 +184,20 @@ def enumerate_balloons(
         if p >= 2:
             base &= ~(g.adj[path[-2]] & ~tip_bit)
         core = _core_mask(g, base, t)
-        if not core & tip_bit:
-            continue
-        bodies = []
-        for y_mask in _connected_bodies(g, core, tip):
-            if y_mask.bit_count() <= t:  # |Y| >= t+1 is necessary
-                continue
-            verdict = connected.get(y_mask)
-            if verdict is None:
-                verdict = connected[y_mask] = _t_connected_mask(g, y_mask, t)
-            if verdict:
-                bodies.append(y_mask)
-        bodies.sort(key=_size_lex)
-        for y_mask in bodies:
+        if core & tip_bit:
+            candidates.append((path, _connected_bodies(g, core, tip, t)))
+
+    # size order: every Y - v is decided before Y
+    connected: dict[int, bool] = {}
+    for y_mask in sorted({y for _, ys in candidates for y in ys}, key=_size_lex):
+        connected[y_mask] = any(
+            connected.get(y_mask & ~(1 << v)) for v in iter_bits(y_mask)
+        ) or _t_connected_mask(g, y_mask, t)
+    rank = {y_mask: i for i, y_mask in enumerate(connected)}
+
+    for path, ys in candidates:
+        tip = path[-1]
+        for y_mask in sorted((y for y in ys if connected[y]), key=rank.__getitem__):
             if cap is not None and len(out) >= cap:
                 raise CapExceeded(f"more than {cap} balloons")
             z_mask = y_mask & ~g.adj[tip]
@@ -201,35 +216,56 @@ def enumerate_balloons(
     return out
 
 
-def _connected_bodies(g: Graph, base: int, tip: int) -> list[int]:
-    """Every connected subset of ``base`` that contains ``tip``, each once.
+def _connected_bodies(g: Graph, base: int, tip: int, t: int) -> list[int]:
+    """Every connected subset of ``base`` that contains ``tip``, has more
+    than t vertices and minimum degree at least t, each once.
 
     Extend/exclude recursion on the rows ``adj & base``: a call holds a
-    connected set and its frontier, and adds the frontier vertices one
-    at a time; a vertex once tried is excluded from the later branches.
+    connected set, its frontier and its room, the vertices of ``base``
+    not yet excluded; it adds the frontier vertices one at a time, and a
+    vertex once tried is excluded from the later branches.  Every set a
+    branch can still reach lies inside its room, so a frontier vertex
+    with fewer than t neighbours in the room is excluded untried, and
+    once an exclusion leaves a member of the current set with fewer than
+    t of them, the remaining siblings are dropped.
     """
     adj = g.adj
     out: list[int] = []
 
-    def grow(y: int, frontier: int, excluded: int) -> None:
-        out.append(y)
+    def grow(y: int, frontier: int, room: int) -> None:
+        if y.bit_count() > t:
+            rest = y
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if (adj[low.bit_length() - 1] & y).bit_count() < t:
+                    break
+            else:
+                out.append(y)
         while frontier:
             low = frontier & -frontier
             frontier ^= low
-            grown = y | low
-            reach = (frontier | adj[low.bit_length() - 1] & base) & ~grown & ~excluded
-            grow(grown, reach, excluded)
-            excluded |= low
+            row = adj[low.bit_length() - 1]
+            if (row & room).bit_count() >= t:
+                grown = y | low
+                grow(grown, (frontier | row & room) & ~grown, room)
+            room ^= low
+            touched = y & row
+            while touched:
+                u = touched & -touched
+                touched ^= u
+                if (adj[u.bit_length() - 1] & room).bit_count() < t:
+                    return
 
     tip_bit = 1 << tip
-    grow(tip_bit, adj[tip] & base & ~tip_bit, 0)
+    grow(tip_bit, adj[tip] & base & ~tip_bit, base)
     return out
 
 
 def validate_balloon(g: Graph, b: Balloon) -> bool:
     """Re-check every defining condition of a balloon, independent of the enumerator."""
     p = len(b.path)
-    if p < 1 or len(set(b.path)) != p:
+    if p < 1 or len(set(b.path)) != p or not _on_graph(g, (*b.path, *b.body, *b.z_set)):
         return False
     # induced path
     for i in range(p):
@@ -256,6 +292,12 @@ def validate_balloon(g: Graph, b: Balloon) -> bool:
     if z != set(b.z_set):
         return False
     return chi_of_subset(g, z) == b.value
+
+
+def _on_graph(g: Graph, vertices: Iterable[int]) -> bool:
+    """Whether every id is a vertex of ``g``, so that a validator rejects
+    an id outside ``range(g.n)`` instead of indexing ``adj`` with it."""
+    return all(v in range(g.n) for v in vertices)
 
 
 def balloon_layer_max_degree(g: Graph, b: Balloon) -> int:
@@ -315,7 +357,8 @@ def enumerate_bicliques(g: Graph, t: int) -> list[Biclique]:
 
 
 def validate_biclique(g: Graph, b: Biclique) -> bool:
-    if b.x_set & b.y_set:
+    """Re-check that X is completely joined to a disjoint Y and the value is chi(Y)."""
+    if not _on_graph(g, b.x_set | b.y_set) or b.x_set & b.y_set:
         return False
     for x in b.x_set:
         for y in b.y_set:
@@ -412,10 +455,13 @@ def in_class_L(
     and so does ``f_vertex``, the lowest neighbor of v in B2.  The case
     conditions depend on (v, B1) and (v, y) only, so they are tested
     before any chi; each F gets one chi per call.  The first hit in the
-    order X, v, B1, y, F is returned.
+    order X, v, B1, y, F is returned.  A disconnected graph or one with
+    fewer than 2 vertices raises ``ValueError`` before any search.
     """
     if i < 2:
         raise ValueError("i must be >= 2")
+    if g.n < 2 or not is_connected_mask(g, g.full_mask()):
+        raise ValueError("in_class_L requires a connected graph on at least 2 vertices")
     free, occ = is_family_free(g, _L_PRECONDITION_FAMILY, induced=True)
     if not free:
         raise ValueError("graph is not {P6, (2,2)-broom}-free")

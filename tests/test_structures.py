@@ -2,7 +2,9 @@ import hashlib
 import json
 import random
 from itertools import combinations
+from math import comb
 
+import networkx as nx
 import pytest
 
 from chibound import structures
@@ -18,6 +20,7 @@ from chibound.patterns import PatternSpec, find_induced, is_family_free, make_pa
 from chibound.solvers import chi_of_subset, chromatic_number, clique_number
 from chibound.structures import (
     Balloon,
+    Biclique,
     ClassCertificate,
     _core_mask,
     balloon_layer_max_degree,
@@ -42,6 +45,7 @@ from helpers import (
     cycle_graph,
     path_graph,
     random_graph,
+    to_networkx,
 )
 
 
@@ -157,6 +161,77 @@ class TestBalloonOracle:
                 enumerate_balloons(g, p, t)
                 assert len(tested) == len(set(tested)), (g.edges(), p, t)
 
+    def test_connected_bodies_match_brute_force(self):
+        # every subset of base holding the tip, connected, with more than
+        # t vertices and minimum degree >= t, listed once
+        rng = random.Random(101)
+        for _ in range(40):
+            n = rng.randint(1, 9)
+            g = random_graph(n, rng.choice([0.3, 0.5, 0.7]), rng)
+            nxg = to_networkx(g)
+            tip = rng.randrange(n)
+            base = rng.getrandbits(n) | 1 << tip
+            for t in (1, 2, 3):
+                expected = set()
+                for y in range(1 << n):
+                    members = [v for v in range(n) if y >> v & 1]
+                    if (
+                        y & ~base
+                        or tip not in members
+                        or len(members) <= t
+                        or any((g.adj[v] & y).bit_count() < t for v in members)
+                    ):
+                        continue
+                    if nx.is_connected(nxg.subgraph(members)):
+                        expected.add(y)
+                got = structures._connected_bodies(g, base, tip, t)
+                assert len(got) == len(set(got)), (g.edges(), base, tip, t)
+                assert set(got) == expected, (g.edges(), base, tip, t)
+
+    @pytest.fixture
+    def tested(self, monkeypatch):
+        """The masks handed to ``_t_connected_mask``, in call order."""
+        masks = []
+
+        def counting(g, mask, t):
+            masks.append(mask)
+            return _t_connected_mask(g, mask, t)
+
+        monkeypatch.setattr(structures, "_t_connected_mask", counting)
+        return masks
+
+    @pytest.mark.parametrize("n, t, flows", [(6, 1, 15), (6, 2, 20), (7, 3, 35)])
+    def test_flow_count_on_complete_graphs(self, tested, n, t, flows):
+        # only the (t+1)-sets have no candidate Y - v to grow from
+        enumerate_balloons(complete_graph(n), 1, t)
+        assert len(tested) == flows == comb(n, t + 1)
+
+    def test_flow_count_and_output_label_invariant(self, tested):
+        def run(g, p, t):
+            tested.clear()
+            return enumerate_balloons(g, p, t), len(tested)
+
+        rng = random.Random(103)
+        for _ in range(10):
+            n = rng.randint(5, 11)
+            g = random_graph(n, rng.choice([0.3, 0.4, 0.5]), rng)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            moved = build_graph(n, [(perm[u], perm[v]) for u, v in g.edges()])
+            for p, t in [(1, 2), (2, 2), (2, 3)]:
+                found, flows = run(g, p, t)
+                found_moved, flows_moved = run(moved, p, t)
+                assert flows_moved == flows, (g.edges(), perm, p, t)
+                assert {
+                    (
+                        tuple(perm[v] for v in b.path),
+                        frozenset(perm[v] for v in b.body),
+                        frozenset(perm[v] for v in b.z_set),
+                        b.value,
+                    )
+                    for b in found
+                } == {(b.path, b.body, b.z_set, b.value) for b in found_moved}
+
     def test_core_matches_brute_force(self):
         # the largest subset of minimum degree >= t, by scanning every subset
         rng = random.Random(97)
@@ -208,6 +283,17 @@ class TestBalloonOracle:
             t=b.t,
         )
         assert not validate_balloon(g, broken2)
+
+    def test_validator_rejects_ids_off_the_graph(self):
+        g = cycle_graph(5)
+        for path, body in [
+            ((9,), {9}),
+            ((-1,), {-1, 0, 1}),
+            ((0,), {0, 1, 4, 5}),
+            ((-5, 0), {0, 1, 4}),
+        ]:
+            b = Balloon(path=path, body=frozenset(body), z_set=frozenset(body), value=1, t=1)
+            assert not validate_balloon(g, b), (path, body)
 
     def test_tip_degree_at_least_t(self):
         # t-connected bodies force at least t body neighbors at the tip
@@ -276,6 +362,20 @@ class TestBicliques:
             g = random_graph(7, 0.5, rng)
             for b in enumerate_bicliques(g, 2):
                 assert validate_biclique(g, b)
+
+    def test_validator_rejects_ids_off_the_graph(self):
+        # on C5, -1 would read as vertex 4, which is joined to 0 and 3
+        g = cycle_graph(5)
+        assert validate_biclique(g, Biclique(frozenset({4}), frozenset({0, 3}), 1))
+        for x_set, y_set in [
+            ({-1}, {0, 3}),
+            ({-1, 4}, {0, 3}),
+            ({4}, {0, -2}),
+            ({5}, {0, 3}),
+            ({4}, {0, 3, 9}),
+        ]:
+            b = Biclique(frozenset(x_set), frozenset(y_set), 1)
+            assert not validate_biclique(g, b), (x_set, y_set)
 
     def test_value_monotone_under_subsets(self):
         rng = random.Random(89)
@@ -392,8 +492,9 @@ class TestClassL:
         assert not ok and cert is None
 
     def test_disconnected_rejected(self):
-        with pytest.raises(ValueError):
-            in_class_L(build_graph(4, [(0, 1), (2, 3)]), 2, self.IDENTITY)
+        for g in (build_graph(4, [(0, 1), (2, 3)]), build_graph(1, [])):
+            with pytest.raises(ValueError, match="in_class_L requires a connected graph"):
+                in_class_L(g, 2, self.IDENTITY)
 
     def test_non_p6_free_rejected(self):
         with pytest.raises(ValueError):
