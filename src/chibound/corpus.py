@@ -208,10 +208,26 @@ def _graph_from_key(key: tuple[int, tuple[int, ...]]) -> Graph:
 
 @dataclass(frozen=True)
 class PatternFilter:
-    """Require the corpus graphs to be family-free in the given mode."""
+    """Require the corpus graphs to be family-free in the given mode.
+
+    The family is one pattern, or class H's induced C4 and p-flag: what
+    the corpus grammar can print.
+    """
 
     family: tuple[PatternSpec, ...]
     induced: bool
+
+    def __post_init__(self) -> None:
+        if len(self.family) != 1 and self._class_h_p() is None:
+            raise ValueError(f"a filter is one pattern or class H, got {self.family}")
+
+    def _class_h_p(self) -> int | None:
+        """p when this filter is class H (induced C4 and p-flag), else None."""
+        if self.induced and len(self.family) == 2:
+            p = dict(self.family[1].params).get("p")
+            if p is not None and self.family == c4_flag_family(p):
+                return p
+        return None
 
     def admits(self, g: Graph) -> bool:
         ok, _ = is_family_free(g, list(self.family), induced=self.induced)
@@ -229,12 +245,14 @@ class PatternFilter:
         return True
 
     def __str__(self) -> str:
-        if self.induced and len(self.family) == 2:
-            p = dict(self.family[1].params).get("p")
-            if p is not None and self.family == c4_flag_family(p):
-                return f"H:p={p}"
-        mode = "free" if self.induced else "nosub"
-        return "+".join(f"{mode}:{spec}" for spec in self.family)
+        p = self._class_h_p()
+        if p is not None:
+            return f"H:p={p}"
+        return f"{'free' if self.induced else 'nosub'}:{self.family[0]}"
+
+
+# Optional fields of each corpus mode; ``n`` is required in both.
+_CORPUS_FIELDS = {"exhaustive": (), "random": ("p", "count", "seed", "dedup")}
 
 
 @dataclass(frozen=True)
@@ -258,6 +276,8 @@ class CorpusSpec:
     dedup: bool = True
 
     def __post_init__(self) -> None:
+        if self.mode not in _CORPUS_FIELDS:
+            raise ValueError(f"unknown corpus mode {self.mode!r}")
         if not 1 <= self.n_min <= self.n_max:
             raise ValueError(f"need 1 <= n_min <= n_max, got {self.n_min}..{self.n_max}")
         if not 0 <= self.edge_prob <= 1:
@@ -298,10 +318,8 @@ def enumerate_graphs(spec: CorpusSpec) -> Iterator[Graph]:
     """Yield the corpus for ``spec`` as a deterministic stream."""
     if spec.mode == "exhaustive":
         yield from _enumerate_exhaustive(spec)
-    elif spec.mode == "random":
-        yield from _enumerate_random(spec)
     else:
-        raise ValueError(f"unknown corpus mode {spec.mode!r}")
+        yield from _enumerate_random(spec)
 
 
 def _enumerate_random(spec: CorpusSpec) -> Iterator[Graph]:
@@ -411,10 +429,6 @@ def parse_pattern(text: str) -> PatternSpec:
     names = PATTERN_KINDS[kind][0]
     params = _parse_params(rest, names, text)
     return PatternSpec(kind, tuple((name, int(params[name])) for name in names))
-
-
-# Optional fields of each corpus mode; ``n`` is required in both.
-_CORPUS_FIELDS = {"exhaustive": (), "random": ("p", "count", "seed", "dedup")}
 
 
 def parse_corpus_spec(text: str) -> CorpusSpec:

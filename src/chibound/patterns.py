@@ -169,13 +169,9 @@ def _spec(kind: str, *values: int) -> PatternSpec:
     return PatternSpec(kind, tuple(zip(PATTERN_KINDS[kind][0], values)))
 
 
+@lru_cache(maxsize=None)
 def make_pattern(spec: PatternSpec) -> Graph:
     """Construct the pattern graph for ``spec`` (cached; graphs are immutable)."""
-    return _make_pattern_cached(spec)
-
-
-@lru_cache(maxsize=None)
-def _make_pattern_cached(spec: PatternSpec) -> Graph:
     if spec.kind not in PATTERN_KINDS:
         raise ValueError(f"unknown pattern kind {spec.kind!r}")
     names, minimums, build = PATTERN_KINDS[spec.kind]

@@ -191,9 +191,11 @@ def chi_of_subset(g: Graph, vertices: Iterable[int], max_n: int = 40) -> int:
     rows: the same search as :func:`chromatic_number`, without building
     the subgraph or a witness.  Refuses sets above ``max_n`` vertices.
     """
-    mask = mask_of(vertices)
-    if mask >> g.n:
-        raise ValueError("vertices out of range")
+    mask = 0
+    for v in vertices:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertices out of range: {v} is not in range({g.n})")
+        mask |= 1 << v
     return _chi(g, mask, max_n)[0]
 
 

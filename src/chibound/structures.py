@@ -86,15 +86,23 @@ class ClassCertificate:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "ClassCertificate":
-        """Inverse of :meth:`to_json_dict`: list-valued witnesses become frozensets."""
+        """Inverse of :meth:`to_json_dict`: list-valued witnesses become
+        frozensets, and input not shaped like its output raises ``ValueError``."""
+        if not isinstance(data, Mapping):
+            raise ValueError(f"certificate JSON must be an object, got {type(data).__name__}")
         try:
             class_id, case, wit = data["class_id"], data["case"], data["witnesses"]
         except KeyError as exc:
             raise ValueError(f"certificate JSON lacks the key {exc}") from None
-        witnesses = {
-            key: frozenset(value) if isinstance(value, list) else value
-            for key, value in wit.items()
-        }
+        if not isinstance(wit, Mapping):
+            raise ValueError(f"certificate witnesses must be an object, got {type(wit).__name__}")
+        try:
+            witnesses = {
+                key: frozenset(value) if isinstance(value, list) else value
+                for key, value in wit.items()
+            }
+        except TypeError:
+            raise ValueError("certificate witness lists must hold vertex ids") from None
         return cls(class_id=class_id, case=case, witnesses=witnesses)
 
 
@@ -102,13 +110,18 @@ class ClassCertificate:
 # Balloons
 
 
-def _induced_paths(g: Graph, p: int) -> Iterator[tuple[int, ...]]:
-    """All ordered induced p-vertex paths in lexicographic sequence order."""
+def _induced_paths(g: Graph, p: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """All ordered induced p-vertex paths in lexicographic sequence order,
+    each with its balloon region: the vertices off the path's non-final
+    vertices and their neighbourhoods, the tip kept."""
+    full = g.full_mask()
 
-    def extend(seq: list[int], seq_mask: int, forbidden: int) -> Iterator[tuple[int, ...]]:
+    def extend(
+        seq: list[int], seq_mask: int, forbidden: int
+    ) -> Iterator[tuple[tuple[int, ...], int]]:
         # forbidden: vertices adjacent to any non-final sequence vertex
         if len(seq) == p:
-            yield tuple(seq)
+            yield tuple(seq), full & ~(seq_mask ^ (1 << seq[-1])) & ~forbidden
             return
         last = seq[-1]
         cands = g.adj[last] & ~seq_mask & ~forbidden
@@ -173,18 +186,10 @@ def enumerate_balloons(
         return found
 
     candidates: list[tuple[tuple[int, ...], list[int]]] = []
-    for path in _induced_paths(g, p):
+    for path, region in _induced_paths(g, p):
         tip = path[-1]
-        tip_bit = 1 << tip
-        base = g.full_mask()
-        for v in path[:-1]:
-            base &= ~(1 << v)
-        for v in path[:-2]:
-            base &= ~g.adj[v]
-        if p >= 2:
-            base &= ~(g.adj[path[-2]] & ~tip_bit)
-        core = _core_mask(g, base, t)
-        if core & tip_bit:
+        core = _core_mask(g, region, t)
+        if core >> tip & 1:
             candidates.append((path, _connected_bodies(g, core, tip, t)))
 
     # size order: every Y - v is decided before Y

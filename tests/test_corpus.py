@@ -19,7 +19,7 @@ from chibound.corpus import (
     read_graph6,
     write_graph6,
 )
-from chibound.patterns import PATTERN_KINDS, PatternSpec
+from chibound.patterns import PATTERN_KINDS, PatternSpec, c4_flag_family
 
 from helpers import (
     complete_graph,
@@ -433,6 +433,23 @@ class TestGrammar:
         spec = CorpusSpec("random", 8, 8, count=2)
         assert parse_corpus_spec(str(spec)) == spec
         assert [g.n for g in enumerate_graphs(spec)] == [8, 8]
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="unknown corpus mode"):
+            CorpusSpec("foo", 3, 3)
+
+    def test_filter_family_must_print(self):
+        # two patterns print as two filters, and an empty family as "filters="
+        for family, induced in [
+            ((PatternSpec.path(4), PatternSpec.cycle(5)), True),
+            ((), True),
+            (c4_flag_family(2), False),
+        ]:
+            with pytest.raises(ValueError, match="one pattern or class H"):
+                PatternFilter(family=family, induced=induced)
+        flt = PatternFilter(family=c4_flag_family(2), induced=True)
+        spec = CorpusSpec("exhaustive", 1, 4, filters=(flt,))
+        assert parse_corpus_spec(str(spec)) == spec
 
     def test_corpus_random(self):
         spec = parse_corpus_spec("random:n=8,p=0.25,count=50,seed=9")

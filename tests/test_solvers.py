@@ -294,6 +294,8 @@ class TestChiOfSubset:
     def test_bad_input(self):
         with pytest.raises(ValueError):
             chi_of_subset(cycle_graph(5), [0, 5])
+        with pytest.raises(ValueError, match="out of range"):
+            chi_of_subset(cycle_graph(5), [-1])
         with pytest.raises(CapExceeded):
             chi_of_subset(cycle_graph(5), range(5), max_n=4)
 

@@ -558,6 +558,14 @@ class TestClassL:
         with pytest.raises(ValueError, match="witnesses"):
             ClassCertificate.from_json_dict({"class_id": "L(2)", "case": 1})
 
+    def test_certificate_json_malformed(self):
+        with pytest.raises(ValueError, match="must be an object"):
+            ClassCertificate.from_json_dict([{"class_id": "L(2)", "case": 1, "witnesses": {}}])
+        with pytest.raises(ValueError, match="witnesses must be an object"):
+            ClassCertificate.from_json_dict({"class_id": "L(2)", "case": 1, "witnesses": [1, 2]})
+        with pytest.raises(ValueError, match="vertex ids"):
+            ClassCertificate.from_json_dict({"class_id": "L(2)", "case": 1, "witnesses": {"X": [[0]]}})
+
     def test_instance_count(self):
         assert len(class_l_instances(20)) >= 20
 
