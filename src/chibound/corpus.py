@@ -211,13 +211,15 @@ class PatternFilter:
     """Require the corpus graphs to be family-free in the given mode.
 
     The family is one pattern, or class H's induced C4 and p-flag: what
-    the corpus grammar can print.
+    the corpus grammar can print.  It is kept as a tuple whatever
+    sequence is passed, so filters compare and hash by value.
     """
 
     family: tuple[PatternSpec, ...]
     induced: bool
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "family", tuple(self.family))
         if len(self.family) != 1 and self._class_h_p() is None:
             raise ValueError(f"a filter is one pattern or class H, got {self.family}")
 
@@ -263,7 +265,8 @@ class CorpusSpec:
     class on n_min..n_max vertices.  Random mode samples G(n, p), with
     n = n_min = n_max, ``count`` times from ``seed``; ``dedup`` only
     affects random mode, where it drops graphs isomorphic to one already
-    yielded.  Filters apply in both modes.
+    yielded.  Filters apply in both modes and are kept as a tuple, so a
+    spec hashes and equals the one its string parses back to.
     """
 
     mode: str  # "exhaustive" | "random"
@@ -276,6 +279,7 @@ class CorpusSpec:
     dedup: bool = True
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "filters", tuple(self.filters))
         if self.mode not in _CORPUS_FIELDS:
             raise ValueError(f"unknown corpus mode {self.mode!r}")
         if not 1 <= self.n_min <= self.n_max:

@@ -2,25 +2,31 @@
 
 Vertex ids are exactly 0..n-1.  Adjacency rows are Python ints used as
 bitsets, so every set operation is a word operation regardless of n.
+One primitive turns a mask back into vertices: :func:`iter_bits`, a
+lowest-bit loop that returns the members as an ascending list.  Hot
+loops that stop early or fold the bits into another mask run the same
+``low = rest & -rest`` step inline instead.
 All functions here are pure; graphs are safe to share across threads
 (a graph's memos are written once, see :class:`Graph`).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 class CapExceeded(RuntimeError):
     """A configured size or count cap would be exceeded."""
 
 
-def iter_bits(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of ``mask`` in ascending order."""
+def iter_bits(mask: int) -> list[int]:
+    """The set bit positions of ``mask`` in ascending order."""
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         mask ^= low
+    return out
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -28,10 +34,6 @@ def mask_of(vertices: Iterable[int]) -> int:
     for v in vertices:
         m |= 1 << v
     return m
-
-
-def bits_list(mask: int) -> list[int]:
-    return list(iter_bits(mask))
 
 
 class Graph:
@@ -64,7 +66,7 @@ class Graph:
         return bool(self.adj[u] >> v & 1)
 
     def neighbors(self, v: int) -> list[int]:
-        return bits_list(self.adj[v])
+        return iter_bits(self.adj[v])
 
     def full_mask(self) -> int:
         return (1 << self.n) - 1
@@ -240,13 +242,16 @@ def _core_mask(g: Graph, mask: int, t: int) -> int:
     found by peeling every vertex of smaller degree until none is left."""
     adj = g.adj
     while True:
-        low = 0
-        for v in iter_bits(mask):
-            if (adj[v] & mask).bit_count() < t:
-                low |= 1 << v
-        if not low:
+        peel = 0
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if (adj[low.bit_length() - 1] & mask).bit_count() < t:
+                peel |= low
+        if not peel:
             return mask
-        mask ^= low
+        mask ^= peel
 
 
 def _vertex_flow_at_least(g: Graph, mask: int, s: int, sink: int, need: int) -> int:
@@ -260,14 +265,16 @@ def _vertex_flow_at_least(g: Graph, mask: int, s: int, sink: int, need: int) -> 
     """
     adj = g.adj
     pred = [0] * g.n
+    # via_in[w]: out-copy that reached w's in-copy (w itself: backwards
+    # over w's split arc); via_out[w]: in-copy that reached w's out-copy
+    # (w itself: over w's split arc, else by undoing w -> it).  Each
+    # search writes an entry before the walk back reads it, so the lists
+    # are shared by every augmentation.
+    via_in = [0] * g.n
+    via_out = [0] * g.n
     saturated = 0
     sink_bit = 1 << sink
     for flow in range(need):
-        # via_in[w]: out-copy that reached w's in-copy (w itself: backwards
-        # over w's split arc); via_out[w]: in-copy that reached w's
-        # out-copy (w itself: over w's split arc, else by undoing w -> it)
-        via_in = [0] * g.n
-        via_out = [0] * g.n
         seen_in = seen_out = frontier = 1 << s
         while frontier:  # out-copies; reached collects the next in-copies
             reached = back = frontier & saturated & ~seen_in

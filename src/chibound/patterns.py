@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterable
 
-from .graph import Graph, _core_mask, bits_list, build_graph, components_masks, iter_bits
+from .graph import Graph, _core_mask, build_graph, components_masks, iter_bits
 
 
 @dataclass(frozen=True)
@@ -405,7 +405,7 @@ def _multipartite_parts(h: Graph) -> list[list[int]] | None:
     for mask in parts:
         if any((comp.adj[u] | 1 << u) & mask != mask for u in iter_bits(mask)):
             return None
-    return [bits_list(mask) for mask in parts]
+    return [iter_bits(mask) for mask in parts]
 
 
 def _find_multipartite_subgraph(g: Graph, sizes: list[int]) -> list[list[int]] | None:
@@ -422,18 +422,19 @@ def _find_multipartite_subgraph(g: Graph, sizes: list[int]) -> list[list[int]] |
 
     chosen: list[list[int]] = []
 
+    # a call is entered only with room for its own part and every later one
     def place(idx: int, cands: int, min_start: int) -> bool:
         if idx == len(sizes):
             return True
         size = sizes[idx]
-        remaining_need = sum(sizes[idx:])
-        if cands.bit_count() < remaining_need:
-            return False
-        cand_list = [v for v in bits_list(cands) if v >= min_start] if min_start else bits_list(cands)
+        later_need = sum(sizes[idx + 1:])
+        cand_list = [v for v in iter_bits(cands) if v >= min_start] if min_start else iter_bits(cands)
         for combo in combinations(cand_list, size):
             common = cands
             for v in combo:
                 common &= g.adj[v]
+            if common.bit_count() < later_need:
+                continue  # the later parts cannot fit in what sees this one
             chosen.append(list(combo))
             nxt_min = combo[0] + 1 if idx + 1 < len(sizes) and sizes[idx + 1] == size else 0
             if place(idx + 1, common, nxt_min):

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graph import CapExceeded, Graph, bits_list, iter_bits, mask_of
+from .graph import CapExceeded, Graph, iter_bits, mask_of
 
 
 @dataclass(frozen=True)
@@ -118,8 +118,10 @@ def _dsatur(adj: list[int], k: int, clique: list[int]) -> list[int] | None:
     in ascending order and a new color is opened only as the next unused
     one, which breaks color symmetry.  ``near[c]`` is the union of the
     neighborhoods of color class c, so coloring v with c raises the
-    saturation of exactly ``adj[v] & uncolored & ~near[c]``.  Returns the
-    color of every rank, or None when no such coloring exists.
+    saturation of exactly ``adj[v] & uncolored & ~near[c]``; a color that
+    would raise a vertex of saturation k - 1 is refused before the
+    buckets are copied, since that vertex would be picked next and fail.
+    Returns the color of every rank, or None when no such coloring exists.
     """
     colors = [-1] * len(adj)
     near = [0] * k
@@ -149,8 +151,10 @@ def _dsatur(adj: list[int], k: int, clique: list[int]) -> list[int] | None:
             old = near[c]
             if old >> v & 1:
                 continue
-            colors[v] = c
             raised = nbrs & ~old
+            if raised & buckets[k - 1]:
+                continue
+            colors[v] = c
             child = buckets[:]
             t = used
             while raised:
@@ -160,8 +164,6 @@ def _dsatur(adj: list[int], k: int, clique: list[int]) -> list[int] | None:
                     child[t + 1] |= moved
                     raised ^= moved
                 t -= 1
-            if child[k]:
-                continue  # a vertex sees all k colors: it would be picked next and fail
             near[c] = old | adj_v
             if assign(child, uncolored, max(used, c + 1)):
                 return True
@@ -208,16 +210,24 @@ def _chi(g: Graph, mask: int, max_n: int) -> tuple[int, list[int], list[int]]:
     1979).  Above that, a maximum clique on host ids is precolored in
     ascending id, and each k from omega up is refuted or is optimal; for
     the whole graph it is the one kept on ``g`` (:func:`_graph_clique`),
-    for a proper subset a fresh :func:`_max_clique` on the mask.
+    for a proper subset a fresh :func:`_max_clique` on the mask.  An
+    edgeless mask is answered first, with no relabelling: 1 (0 when
+    empty), every vertex colored 0, which is the search's own witness.
     Returns ``(k, colors by rank, rank)``; refuses over ``max_n`` vertices.
     """
     n = mask.bit_count()
     if n > max_n:
         raise CapExceeded(f"chromatic_number cap is {max_n} vertices, got {n}")
     rows = g.adj
-    rank, adj = _rank_relabel(rows, bits_list(mask), mask)
-    if not mask:
-        return 0, [], rank
+    rest = mask
+    while rest:
+        low = rest & -rest
+        if rows[low.bit_length() - 1] & mask:
+            break
+        rest ^= low
+    else:  # edgeless: DSATUR would give every vertex color 0
+        return min(n, 1), [0] * n, [0] * len(rows)
+    rank, adj = _rank_relabel(rows, iter_bits(mask), mask)
     greedy = _dsatur(adj, n, [])
     ub = max(greedy) + 1
     if ub > 3:

@@ -20,7 +20,6 @@ from .graph import (
     _core_mask,
     _t_connected_mask,
     bfs_layers,
-    bits_list,
     build_graph,
     components_masks,
     induced,
@@ -87,23 +86,37 @@ class ClassCertificate:
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "ClassCertificate":
         """Inverse of :meth:`to_json_dict`: list-valued witnesses become
-        frozensets, and input not shaped like its output raises ``ValueError``."""
+        frozensets.  Input not shaped like its output raises ``ValueError``:
+        ``class_id`` must be a string, ``case`` None or an int, and every
+        witness an int (a vertex id or a count) or a list of them, with
+        ``bool`` refused wherever an int is."""
         if not isinstance(data, Mapping):
             raise ValueError(f"certificate JSON must be an object, got {type(data).__name__}")
         try:
             class_id, case, wit = data["class_id"], data["case"], data["witnesses"]
         except KeyError as exc:
             raise ValueError(f"certificate JSON lacks the key {exc}") from None
+        if not isinstance(class_id, str):
+            raise ValueError(f"certificate class_id must be a string, got {class_id!r}")
+        if case is not None and not _is_int(case):
+            raise ValueError(f"certificate case must be null or an int, got {case!r}")
         if not isinstance(wit, Mapping):
             raise ValueError(f"certificate witnesses must be an object, got {type(wit).__name__}")
-        try:
-            witnesses = {
-                key: frozenset(value) if isinstance(value, list) else value
-                for key, value in wit.items()
-            }
-        except TypeError:
-            raise ValueError("certificate witness lists must hold vertex ids") from None
+        witnesses: dict[str, object] = {}
+        for key, value in wit.items():
+            if isinstance(value, list):
+                if not all(map(_is_int, value)):
+                    raise ValueError(f"certificate witness list {key!r} must hold vertex ids")
+                value = frozenset(value)
+            elif not _is_int(value):
+                raise ValueError(f"certificate witness {key!r} must be an int, got {value!r}")
+            witnesses[key] = value
         return cls(class_id=class_id, case=case, witnesses=witnesses)
+
+
+def _is_int(value: object) -> bool:
+    """Whether ``value`` is an int and not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +208,15 @@ def enumerate_balloons(
     # size order: every Y - v is decided before Y
     connected: dict[int, bool] = {}
     for y_mask in sorted({y for _, ys in candidates for y in ys}, key=_size_lex):
-        connected[y_mask] = any(
-            connected.get(y_mask & ~(1 << v)) for v in iter_bits(y_mask)
-        ) or _t_connected_mask(g, y_mask, t)
+        rest = y_mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if connected.get(y_mask ^ low):
+                connected[y_mask] = True
+                break
+        else:
+            connected[y_mask] = _t_connected_mask(g, y_mask, t)
     rank = {y_mask: i for i, y_mask in enumerate(connected)}
 
     for path, ys in candidates:
@@ -417,7 +436,7 @@ def minimal_cutsets(g: Graph, cap: int | None = None) -> list[frozenset[int]]:
 
 def _size_lex(mask: int) -> tuple[int, list[int]]:
     """Sort key: by size, then lexicographic on the sorted members."""
-    return mask.bit_count(), bits_list(mask)
+    return mask.bit_count(), iter_bits(mask)
 
 
 def _boundary(g: Graph, mask: int) -> int:

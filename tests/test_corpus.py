@@ -451,6 +451,14 @@ class TestGrammar:
         spec = CorpusSpec("exhaustive", 1, 4, filters=(flt,))
         assert parse_corpus_spec(str(spec)) == spec
 
+    def test_filter_and_spec_sequences_become_tuples(self):
+        for family in ([PatternSpec.path(4)], list(c4_flag_family(2))):
+            flt = PatternFilter(family=family, induced=True)
+            spec = CorpusSpec("exhaustive", 1, 3, filters=[flt])
+            assert flt.family == tuple(family) and spec.filters == (flt,)
+            back = parse_corpus_spec(str(spec))
+            assert back == spec and hash(back) == hash(spec)
+
     def test_corpus_random(self):
         spec = parse_corpus_spec("random:n=8,p=0.25,count=50,seed=9")
         assert spec.mode == "random" and spec.edge_prob == 0.25 and spec.seed == 9

@@ -2,7 +2,7 @@ import random
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from chibound.graph import (
     _t_connected_mask,
@@ -26,6 +26,12 @@ from helpers import (
     random_graph,
     reference_degeneracy,
 )
+
+
+class TestIterBits:
+    @given(mask=st.integers(min_value=0, max_value=(1 << 70) - 1))
+    def test_ascending_set_bits(self, mask):
+        assert iter_bits(mask) == [v for v in range(mask.bit_length()) if mask >> v & 1]
 
 
 class TestBuildGraph:

@@ -174,6 +174,16 @@ class TestChromaticNumber:
                 chi, coloring = chromatic_number(g)
                 assert chi <= 3 and coloring.colors == self.reference_witness(g)
 
+    def test_edgeless_witness_matches_reference_search(self):
+        # answered before any search, with the coloring the search gives
+        for n in range(9):
+            g = build_graph(n, [])
+            chi, coloring = chromatic_number(g)
+            assert chi == coloring.count == min(n, 1)
+            assert coloring.colors == reference_dsatur(g, n)
+            if n:
+                assert coloring.colors == self.reference_witness(g)
+
     def test_witness_color_count(self):
         rng = random.Random(31)
         for _ in range(30):
@@ -274,6 +284,15 @@ class TestChiOfSubset:
             assert chi_of_subset(g, independent) == 1
             assert chi_of_subset(g, clique) == len(clique)
             assert chi_of_subset(g, range(g.n)) == chromatic_number(g)[0]
+
+    @settings(max_examples=60)
+    @given(g=graphs(max_n=8))
+    def test_one_on_independent_sets(self, g):
+        assert chi_of_subset(g, []) == 0
+        for mask in range(1, 1 << g.n):
+            vertices = [v for v in range(g.n) if mask >> v & 1]
+            if all(not g.has_edge(u, v) for u, v in combinations(vertices, 2)):
+                assert chi_of_subset(g, vertices) == 1
 
     def test_greedy_overshoot_is_refuted(self):
         # the first DSATUR descent uses 4 colors here, but chi is 3

@@ -566,6 +566,27 @@ class TestClassL:
         with pytest.raises(ValueError, match="vertex ids"):
             ClassCertificate.from_json_dict({"class_id": "L(2)", "case": 1, "witnesses": {"X": [[0]]}})
 
+    def test_certificate_json_malformed_types(self):
+        good = {"class_id": "L(2)", "case": 1, "witnesses": {"X": [0, 1], "v": 0}}
+        cert = ClassCertificate.from_json_dict(good)
+        assert cert.witnesses == {"X": frozenset({0, 1}), "v": 0}
+        assert ClassCertificate.from_json_dict({**good, "case": None}).case is None
+        for bad, match in [
+            ({"class_id": 5, "case": "x", "witnesses": {"X": ["a"]}}, "class_id"),
+            ({**good, "class_id": None}, "class_id"),
+            ({**good, "case": "x"}, "case"),
+            ({**good, "case": 1.0}, "case"),
+            ({**good, "case": True}, "case"),
+            ({**good, "witnesses": {"X": ["a"]}}, "vertex ids"),
+            ({**good, "witnesses": {"X": [0, True]}}, "vertex ids"),
+            ({**good, "witnesses": {"v": "0"}}, "must be an int"),
+            ({**good, "witnesses": {"chi_F": 2.5}}, "must be an int"),
+            ({**good, "witnesses": {"v": False}}, "must be an int"),
+            ({**good, "witnesses": {"v": None}}, "must be an int"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                ClassCertificate.from_json_dict(bad)
+
     def test_instance_count(self):
         assert len(class_l_instances(20)) >= 20
 
