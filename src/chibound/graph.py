@@ -335,22 +335,25 @@ def degeneracy(g: Graph) -> tuple[int, tuple[int, ...]]:
     returned order every vertex has at most the returned value of
     neighbors occurring later.
     """
+    rows = g.adj
     buckets = [0] * (g.n + 1)
-    for v in range(g.n):
-        buckets[g.degree(v)] |= 1 << v
-    remaining = g.full_mask()
+    for v, row in enumerate(rows):
+        buckets[row.bit_count()] |= 1 << v
+    remaining = (1 << g.n) - 1
     order = []
     best = d = 0
-    for _ in range(g.n):
+    for _ in rows:
         while not buckets[d]:
             d += 1
-        low = buckets[d] & -buckets[d]
-        buckets[d] ^= low
+        bucket = buckets[d]
+        low = bucket & -bucket
+        buckets[d] = bucket ^ low
         remaining ^= low
         v = low.bit_length() - 1
         order.append(v)
-        best = max(best, d)
-        nbrs = g.adj[v] & remaining
+        if d > best:
+            best = d
+        nbrs = rows[v] & remaining
         t = d
         while nbrs:
             moved = buckets[t] & nbrs
@@ -359,5 +362,6 @@ def degeneracy(g: Graph) -> tuple[int, tuple[int, ...]]:
                 buckets[t - 1] |= moved
                 nbrs ^= moved
             t += 1
-        d = max(d - 1, 0)
+        if d:
+            d -= 1
     return best, tuple(order)

@@ -4,9 +4,12 @@ Everything here is exact: past the configurable size caps the solvers
 refuse instead of approximating, since downstream verification depends
 on true values of chi and omega.  Every chromatic number, of a whole
 graph or of a vertex subset, comes from one routine, :func:`_chi`, on a
-vertex mask of the host rows: one saturation search whose first descent
-is the greedy upper bound, and which, with a maximum clique precolored,
-refutes each smaller color count or finds the optimal witness.  Every
+vertex mask of the host rows: a greedy saturation coloring gives the
+upper bound, and a saturation search with a maximum clique precolored
+refutes each smaller color count or finds the optimal witness.  The
+greedy coloring (:func:`_greedy`) is one loop, with no copies and no
+recursion: it is exactly the first descent of the search with as many
+colors as vertices, which can never backtrack.  Every
 clique number comes from one branch and bound, :func:`_max_clique`.
 The maximum clique of a whole graph is searched at most once per
 :class:`~chibound.graph.Graph` and kept on it (:func:`_graph_clique`),
@@ -122,6 +125,8 @@ def _dsatur(adj: list[int], k: int, clique: list[int]) -> list[int] | None:
     would raise a vertex of saturation k - 1 is refused before the
     buckets are copied, since that vertex would be picked next and fail.
     Returns the color of every rank, or None when no such coloring exists.
+    With ``k = len(adj)`` and no clique the search never backtracks, and
+    :func:`_greedy` computes that first descent as a plain loop.
     """
     colors = [-1] * len(adj)
     near = [0] * k
@@ -147,7 +152,7 @@ def _dsatur(adj: list[int], k: int, clique: list[int]) -> list[int] | None:
         buckets[s] ^= low
         adj_v = adj[v]
         nbrs = adj_v & uncolored
-        for c in range(min(k, used + 1)):
+        for c in range(used + 1 if used < k else k):
             old = near[c]
             if old >> v & 1:
                 continue
@@ -165,12 +170,62 @@ def _dsatur(adj: list[int], k: int, clique: list[int]) -> list[int] | None:
                     raised ^= moved
                 t -= 1
             near[c] = old | adj_v
-            if assign(child, uncolored, max(used, c + 1)):
+            if assign(child, uncolored, used if c < used else c + 1):
                 return True
             near[c] = old
         return False
 
     return colors if assign(buckets, uncolored, len(clique)) else None
+
+
+def _greedy(adj: list[int]) -> list[int]:
+    """The DSATUR coloring of rank-relabelled ``adj`` with no color limit.
+
+    The vertex colored next is the lowest rank in the highest non-empty
+    saturation bucket; it takes the lowest color class it has no
+    neighbor in, or opens the next one, and its uncolored neighbors
+    outside that class move up one bucket.  This is the first descent of
+    ``_dsatur(adj, len(adj), [])``, which can never fail: an uncolored
+    neighbor of the chosen vertex has at most ``len(adj) - 2`` colored
+    neighbors, so no color is refused and no branch backtracks.
+    Returns the color of every rank.
+    """
+    n = len(adj)
+    colors = [0] * n
+    near: list[int] = []  # near[c]: union of the neighborhoods of class c
+    uncolored = (1 << n) - 1
+    buckets = [uncolored] + [0] * n
+    s = 0
+    for _ in range(n):
+        while not buckets[s]:
+            s -= 1
+        bucket = buckets[s]
+        low = bucket & -bucket
+        buckets[s] = bucket ^ low
+        uncolored ^= low
+        v = low.bit_length() - 1
+        adj_v = adj[v]
+        c = 0
+        for old in near:
+            if not old >> v & 1:
+                near[c] = old | adj_v
+                break
+            c += 1
+        else:
+            old = 0
+            near.append(adj_v)
+        colors[v] = c
+        raised = adj_v & uncolored & ~old
+        t = s
+        while raised:
+            moved = buckets[t] & raised
+            if moved:
+                buckets[t] ^= moved
+                buckets[t + 1] |= moved
+                raised ^= moved
+            t -= 1
+        s += 1
+    return colors
 
 
 def chromatic_number(g: Graph, max_n: int = 40) -> tuple[int, Coloring]:
@@ -204,13 +259,16 @@ def chi_of_subset(g: Graph, vertices: Iterable[int], max_n: int = 40) -> int:
 def _chi(g: Graph, mask: int, max_n: int) -> tuple[int, list[int], list[int]]:
     """Chromatic number of the subgraph of ``g`` induced on ``mask``.
 
-    One rank relabelling (:func:`_rank_relabel`) and one saturation
-    search (:func:`_dsatur`): its first descent is the greedy bound,
-    exact when at most 3 (DSATUR is exact on bipartite graphs; Brélaz
-    1979).  Above that, a maximum clique on host ids is precolored in
-    ascending id, and each k from omega up is refuted or is optimal; for
-    the whole graph it is the one kept on ``g`` (:func:`_graph_clique`),
-    for a proper subset a fresh :func:`_max_clique` on the mask.  An
+    One rank relabelling (:func:`_rank_relabel`) and one greedy
+    saturation coloring (:func:`_greedy`), a loop that equals the first
+    descent of the saturation search with n colors, since that descent
+    never backtracks.  Its count is the upper bound, exact when at most
+    3 (DSATUR is exact on bipartite graphs; Brélaz 1979).  Above that,
+    a maximum clique on host ids is precolored in ascending id, and the
+    search (:func:`_dsatur`) refutes each k from omega up or finds it
+    optimal; for the whole graph the clique is the one kept on ``g``
+    (:func:`_graph_clique`), for a proper subset a fresh
+    :func:`_max_clique` on the mask.  An
     edgeless mask is answered first, with no relabelling: 1 (0 when
     empty), every vertex colored 0, which is the search's own witness.
     Returns ``(k, colors by rank, rank)``; refuses over ``max_n`` vertices.
@@ -228,7 +286,7 @@ def _chi(g: Graph, mask: int, max_n: int) -> tuple[int, list[int], list[int]]:
     else:  # edgeless: DSATUR would give every vertex color 0
         return min(n, 1), [0] * n, [0] * len(rows)
     rank, adj = _rank_relabel(rows, iter_bits(mask), mask)
-    greedy = _dsatur(adj, n, [])
+    greedy = _greedy(adj)
     ub = max(greedy) + 1
     if ub > 3:
         whole = mask == g.full_mask()

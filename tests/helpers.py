@@ -15,6 +15,8 @@ from itertools import combinations, permutations
 import networkx as nx
 import numpy as np
 from hypothesis import strategies as st
+from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.sparse import coo_array
 
 from chibound.graph import Graph, build_graph
 
@@ -235,6 +237,45 @@ def reference_dsatur(
         return False
 
     return tuple(colors) if assign() else None
+
+
+def ilp_colorable(g: Graph, k: int, clique: Sequence[int]) -> bool:
+    """Whether ``g`` has a proper coloring with ``k`` colors, by integer
+    programming (HiGHS through ``scipy.optimize.milp``), independent of
+    any saturation search.
+
+    Binary x[v, c] is 1 when vertex v has color c: each vertex has one
+    color, the ends of an edge never share one, and ``clique[i]`` is
+    fixed to color i, which removes the color symmetry.
+    """
+    n = g.n
+    if len(clique) > k:
+        return False
+    rows, cols = [], []
+    for v in range(n):  # row v: sum over c of x[v, c] == 1
+        rows += [v] * k
+        cols += range(v * k, v * k + k)
+    row = n
+    for u, v in g.edges():  # x[u, c] + x[v, c] <= 1 for every color c
+        for c in range(k):
+            rows += [row, row]
+            cols += [u * k + c, v * k + c]
+            row += 1
+    a = coo_array((np.ones(len(rows)), (rows, cols)), shape=(row, n * k))
+    lower = np.full(row, -np.inf)
+    lower[:n] = 1
+    lower_x = np.zeros(n * k)
+    for i, v in enumerate(clique):
+        lower_x[v * k + i] = 1
+    result = milp(
+        np.zeros(n * k),
+        constraints=LinearConstraint(a, lower, np.ones(row)),
+        integrality=np.ones(n * k),
+        bounds=Bounds(lower_x, np.ones(n * k)),
+    )
+    if result.status not in (0, 2):  # 0: a coloring found, 2: infeasible
+        raise RuntimeError(f"milp did not decide: {result.message}")
+    return result.status == 0
 
 
 def brute_force_clique(g: Graph) -> int:

@@ -293,6 +293,13 @@ class TestDegeneracy:
                 later = sum(1 for w in g.neighbors(v) if position[w] > position[v])
                 assert later <= d
 
+    def test_matches_reference_peel_at_solver_sizes(self):
+        # n = 30..40, the sizes the dense chi checks peel
+        rng = random.Random(37)
+        for _ in range(12):
+            g = random_graph(rng.randint(30, 40), rng.choice([0.2, 0.5, 0.8]), rng)
+            assert degeneracy(g) == reference_degeneracy(g), g.edges()
+
     @settings(max_examples=80)
     @given(g=graphs(max_n=14, min_n=0))
     def test_matches_reference_peel(self, g):

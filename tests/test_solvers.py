@@ -10,6 +10,7 @@ from chibound.patterns import PatternSpec, find_induced, make_pattern
 from chibound.solvers import (
     Coloring,
     _dsatur,
+    _greedy,
     _rank_relabel,
     chi_of_subset,
     chromatic_number,
@@ -23,6 +24,7 @@ from helpers import (
     complete_graph,
     cycle_graph,
     graphs,
+    ilp_colorable,
     mycielskian,
     path_graph,
     petersen_graph,
@@ -141,7 +143,7 @@ class TestChromaticNumber:
         # clique witness precolored, each by the plain search
         greedy = reference_dsatur(g, g.n)
         omega, clique = clique_number(g)
-        ks = range(omega, max(greedy) + 1)
+        ks = range(omega, max(greedy, default=-1) + 1)
         exact = (reference_dsatur(g, k, sorted(clique)) for k in ks)
         return next(filter(None, exact), greedy)
 
@@ -181,8 +183,7 @@ class TestChromaticNumber:
             chi, coloring = chromatic_number(g)
             assert chi == coloring.count == min(n, 1)
             assert coloring.colors == reference_dsatur(g, n)
-            if n:
-                assert coloring.colors == self.reference_witness(g)
+            assert coloring.colors == self.reference_witness(g)
 
     def test_witness_color_count(self):
         rng = random.Random(31)
@@ -191,6 +192,48 @@ class TestChromaticNumber:
             chi, coloring = chromatic_number(g)
             assert coloring.count == chi
             assert len(set(coloring.colors)) == chi
+
+    def test_chi_above_omega_matches_ilp(self):
+        # an oracle that shares no reasoning with the saturation search:
+        # integer programming finds chi colors and refutes chi - 1
+        rng = random.Random(83)
+        checked = 0
+        while checked < 20:
+            g = random_graph(rng.randint(20, 30), rng.choice([0.3, 0.5, 0.7]), rng)
+            chi, _ = chromatic_number(g)
+            omega, clique = clique_number(g)
+            if chi == omega:
+                continue
+            checked += 1
+            assert ilp_colorable(g, chi, sorted(clique)), g.edges()
+            assert not ilp_colorable(g, chi - 1, sorted(clique)), g.edges()
+
+
+class TestGreedy:
+    @staticmethod
+    def ranked(g):
+        return _rank_relabel(g.adj, list(range(g.n)), g.full_mask())[1]
+
+    @settings(max_examples=100)
+    @given(
+        n=st.integers(0, 40),
+        p=st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_first_descent_of_search(self, n, p, seed):
+        adj = self.ranked(random_graph(n, p, random.Random(seed)))
+        assert _greedy(adj) == _dsatur(adj, len(adj), [])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 40])
+    def test_complete_and_one_edge_short(self, n):
+        # saturation reaches n - 2 here, the most the search allows
+        full = complete_graph(n)
+        short = build_graph(n, [e for e in full.edges() if e != (0, n - 1)])
+        for g in (full, short):
+            adj = self.ranked(g)
+            assert _greedy(adj) == _dsatur(adj, n, [])
+        assert max(_greedy(self.ranked(full))) == n - 1
+        assert max(_greedy(self.ranked(short))) == max(n - 2, 0)
 
 
 class TestColoring:
