@@ -110,79 +110,51 @@ def read_graph6(text: str) -> Graph:
 # Canonical form
 
 
-def _twin_classes(g: Graph) -> list[int]:
-    """twin_class[v] groups vertices whose swap is an automorphism."""
-    cls = list(range(g.n))
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if cls[v] != v:
-                continue
-            nu = g.adj[u] & ~(1 << v)
-            nv = g.adj[v] & ~(1 << u)
-            if nu == nv:
-                cls[v] = cls[u]
-    return cls
-
-
 def canonical_key(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Isomorphism-invariant key: the minimum upper-triangle bit string
     over all vertex orderings, in graph6 column order.
 
-    Lexicographic column-by-column minimization: at each position only
-    the vertices producing the minimal next column can extend a minimal
-    ordering, so the search branches only on ties; exact twins are
-    collapsed since swapping them is an automorphism.
+    One depth-first search over orderings, minimising column by column.
+    ``col`` maps each unplaced vertex to its column against the placed
+    prefix, first-placed vertex most significant; placing u shifts in
+    one bit per remaining vertex, so a node costs O(n).  Only the
+    vertices with the least column can extend a minimal ordering, and a
+    prefix whose columns already exceed the best key's is dropped.
+    Position 0 is the empty column, 0 for every vertex, so one call from
+    the empty prefix covers every first vertex; the key leaves that
+    column out.
+
+    Of two tied candidates, the second is skipped when the two are twins
+    in g: their rows are equal (open twins) or become equal with their
+    own bits added (closed twins).  Swapping twins is an automorphism
+    that fixes every other vertex, the placed prefix included, so the
+    second subtree repeats the first's keys.
     """
-    n = g.n
-    if n == 0:
-        return (0, ())
-    twins = _twin_classes(g)
-    best: list[tuple[int, ...] | None] = [None]
+    n, adj = g.n, g.adj
+    best = (1 << n,)  # above every key; the first leaf replaces it
 
-    def descend(
-        placed: list[int], cols: list[int], remaining: list[int], tied: bool
-    ) -> None:
-        # tied: the column prefix equals the current best's prefix, so
-        # positional comparison against best is meaningful
-        if not remaining:
-            key = tuple(cols)
-            if best[0] is None or key < best[0]:
-                best[0] = key
+    def descend(col: dict[int, int], cols: tuple[int, ...]) -> None:
+        nonlocal best
+        if not col:
+            best = cols  # not above best, or it would have been dropped
             return
-        # column bits of each candidate against the placed prefix
-        scored: dict[int, list[int]] = {}
-        for u in remaining:
-            col = 0
-            for w in placed:
-                col = col << 1 | (g.adj[u] >> w & 1)
-            scored.setdefault(col, []).append(u)
-        min_col = min(scored)
-        child_tied = tied
-        if tied and best[0] is not None:
-            best_col = best[0][len(cols)]
-            if min_col > best_col:
-                return
-            child_tied = min_col == best_col
-        seen_twins = set()
-        for u in scored[min_col]:
-            if twins[u] in seen_twins:
+        low = min(col.values())
+        cols += (low,)
+        if cols > best[: len(cols)]:
+            return
+        open_rows, closed_rows = set(), set()
+        for u, c in col.items():
+            if c != low:
                 continue
-            seen_twins.add(twins[u])
-            descend(
-                placed + [u],
-                cols + [min_col],
-                [x for x in remaining if x != u],
-                child_tied,
-            )
+            row, closed = adj[u], adj[u] | 1 << u
+            if row in open_rows or closed in closed_rows:
+                continue
+            open_rows.add(row)
+            closed_rows.add(closed)
+            descend({w: cw << 1 | adj[w] >> u & 1 for w, cw in col.items() if w != u}, cols)
 
-    # the first position contributes an empty column; seed all twin reps
-    seen = set()
-    for v in range(n):
-        if twins[v] in seen:
-            continue
-        seen.add(twins[v])
-        descend([v], [], [u for u in range(n) if u != v], True)
-    return (n, best[0])
+    descend(dict.fromkeys(range(n), 0), ())
+    return (n, best[1:])
 
 
 def canonical_graph(g: Graph) -> Graph:
@@ -220,6 +192,8 @@ class PatternFilter:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "family", tuple(self.family))
+        for spec in self.family:
+            make_pattern(spec)  # raises ValueError on a kind or parameter it cannot build
         if len(self.family) != 1 and self._class_h_p() is None:
             raise ValueError(f"a filter is one pattern or class H, got {self.family}")
 
@@ -290,6 +264,11 @@ class CorpusSpec:
             raise ValueError(f"count must be nonnegative, got {self.count}")
         if self.mode == "exhaustive" and not self.dedup:
             raise ValueError("exhaustive mode yields one graph per class; dedup cannot be off")
+        if self.mode == "exhaustive" and (self.edge_prob, self.count, self.seed) != (0.5, 0, 0):
+            raise ValueError(
+                "exhaustive mode takes no edge probability, count or seed, got "
+                f"p={self.edge_prob}, count={self.count}, seed={self.seed}"
+            )
         if self.mode == "random" and self.n_min != self.n_max:
             raise ValueError(
                 f"random mode samples one vertex count, got {self.n_min}..{self.n_max}"
@@ -314,10 +293,6 @@ class CorpusSpec:
         return ",".join(parts)
 
 
-def _admits_all(g: Graph, filters: tuple[PatternFilter, ...]) -> bool:
-    return all(f.admits(g) for f in filters)
-
-
 def enumerate_graphs(spec: CorpusSpec) -> Iterator[Graph]:
     """Yield the corpus for ``spec`` as a deterministic stream."""
     if spec.mode == "exhaustive":
@@ -340,7 +315,7 @@ def _enumerate_random(spec: CorpusSpec) -> Iterator[Graph]:
             if rng.random() < spec.edge_prob
         ]
         g = build_graph(n, edges)
-        if not _admits_all(g, spec.filters):
+        if not all(f.admits(g) for f in spec.filters):
             continue
         if spec.dedup:
             key = canonical_key(g)
@@ -356,18 +331,14 @@ def _enumerate_exhaustive(spec: CorpusSpec) -> Iterator[Graph]:
 
     Every induced-subgraph-closed filter admits pruning during growth:
     a member on n vertices restricts to a member on n-1, so extending
-    the level-(n-1) representatives reaches every class, and extension
-    checks only need to look at occurrences through the new vertex.
+    the level-(n-1) representatives, from the empty graph up, reaches
+    every class, and extension checks only need to look at occurrences
+    through the new vertex.
     """
     if spec.n_max > EXHAUSTIVE_MAX_N:
         raise CapExceeded(f"exhaustive mode supported up to n = {EXHAUSTIVE_MAX_N}")
-    level: dict[tuple, Graph] = {}
-    single = build_graph(1, [])
-    if _admits_all(single, spec.filters):
-        level[canonical_key(single)] = single
-    if spec.n_min == 1 and level:
-        yield single
-    for n in range(2, spec.n_max + 1):
+    level: dict[tuple, Graph] = {(0, ()): Graph(0, ())}
+    for n in range(1, spec.n_max + 1):
         nxt: dict[tuple, Graph] = {}
         for parent in level.values():
             for mask in range(1 << (n - 1)):

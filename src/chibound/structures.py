@@ -289,7 +289,7 @@ def _connected_bodies(g: Graph, base: int, tip: int, t: int) -> list[int]:
 def validate_balloon(g: Graph, b: Balloon) -> bool:
     """Re-check every defining condition of a balloon, independent of the enumerator."""
     p = len(b.path)
-    if p < 1 or len(set(b.path)) != p or not _on_graph(g, (*b.path, *b.body, *b.z_set)):
+    if p < 1 or b.t < 1 or len(set(b.path)) != p or not _on_graph(g, (*b.path, *b.body, *b.z_set)):
         return False
     # induced path
     for i in range(p):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import permutations
 
@@ -190,6 +191,59 @@ class TestCanonicalForm:
         b = build_graph(4, [(0, 1), (0, 2), (0, 3)])
         assert canonical_key(a) != canonical_key(b)
 
+    def test_twin_rich_blow_ups_match_brute_force(self):
+        # every base vertex becomes a set of open or closed twins
+        rng = random.Random(337)
+        for _ in range(40):
+            base = random_graph(rng.randint(1, 4), 0.5, rng)
+            cliques = [rng.random() < 0.5 for _ in range(base.n)]
+            g = blow_up(base, split(rng.randint(base.n, 7), base.n, rng), cliques, rng)
+            assert canonical_key(g) == brute_canonical_key(g), g.edges()
+
+    def test_planted_twins_at_9_to_12(self):
+        # g and h blow up one base alike, except that one vertex moves to
+        # another twin set in h: isomorphic when it stays in its set or the
+        # move follows a base automorphism, otherwise a near miss
+        rng = random.Random(347)
+        for _ in range(60):
+            n = rng.randint(9, 12)
+            base = random_graph(rng.randint(3, 6), 0.5, rng)
+            cliques = [rng.random() < 0.5 for _ in range(base.n)]
+            sizes = split(n, base.n, rng)
+            moved = list(sizes)
+            moved[rng.choice([v for v, size in enumerate(sizes) if size > 1])] -= 1
+            moved[rng.randrange(base.n)] += 1
+            g, h = blow_up(base, sizes, cliques, rng), blow_up(base, moved, cliques, rng)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            relabelled = build_graph(n, [(perm[u], perm[v]) for u, v in g.edges()])
+            assert canonical_key(relabelled) == canonical_key(g), g.edges()
+            same = canonical_key(g) == canonical_key(h)
+            assert same == nx.is_isomorphic(to_networkx(g), to_networkx(h)), (
+                g.edges(),
+                h.edges(),
+            )
+
+
+def split(n: int, parts: int, rng: random.Random) -> list[int]:
+    """A random composition of n into ``parts`` positive sizes."""
+    cuts = sorted(rng.sample(range(1, n), parts - 1))
+    return [b - a for a, b in zip([0, *cuts], [*cuts, n])]
+
+
+def blow_up(base: Graph, sizes: list[int], cliques: list[bool], rng: random.Random) -> Graph:
+    """Replace vertex v of ``base`` by ``sizes[v]`` vertices, a clique when
+    ``cliques[v]`` and an independent set otherwise, then shuffle the labels."""
+    owner = [v for v, size in enumerate(sizes) for _ in range(size)]
+    rng.shuffle(owner)
+    edges = [
+        (x, y)
+        for x in range(len(owner))
+        for y in range(x + 1, len(owner))
+        if (cliques[owner[x]] if owner[x] == owner[y] else base.has_edge(owner[x], owner[y]))
+    ]
+    return build_graph(len(owner), edges)
+
 
 @st.composite
 def same_order_pairs(draw):
@@ -305,6 +359,29 @@ class TestExhaustiveEnumeration:
         a = [write_graph6(g) for g in enumerate_graphs(spec)]
         b = [write_graph6(g) for g in enumerate_graphs(spec)]
         assert a == b
+
+    @pytest.mark.parametrize(
+        "text, count, digest",
+        [
+            (
+                "exhaustive:n=1..7",
+                1252,
+                "9701eab755be7693d0f64a5dbf0fe67ab3917e7e402028802f12a41bf542510a",
+            ),
+            (
+                "exhaustive:n=1..7,filters=free:path:k=5+free:cycle:k=4",
+                439,
+                "546919660502efc2511da800a682bab2b41a94c677867f3e122e5e15efb9cd4d",
+            ),
+        ],
+        ids=["all", "p5c4"],
+    )
+    def test_stream_digest(self, text, count, digest):
+        # pins the representatives and their order: SHA-256 over one
+        # graph6 line per yielded graph
+        lines = [write_graph6(g) + "\n" for g in enumerate_graphs(parse_corpus_spec(text))]
+        assert len(lines) == count
+        assert hashlib.sha256("".join(lines).encode()).hexdigest() == digest
 
     def test_caps(self):
         with pytest.raises(CapExceeded):
@@ -433,6 +510,24 @@ class TestGrammar:
         spec = CorpusSpec("random", 8, 8, count=2)
         assert parse_corpus_spec(str(spec)) == spec
         assert [g.n for g in enumerate_graphs(spec)] == [8, 8]
+
+    def test_exhaustive_mode_takes_no_sampling_fields(self):
+        # such a spec would print as plain exhaustive and not parse back to itself
+        for extra in [dict(count=5), dict(seed=3), dict(edge_prob=0.2)]:
+            with pytest.raises(ValueError, match="exhaustive mode takes no"):
+                CorpusSpec("exhaustive", 1, 3, **extra)
+        spec = CorpusSpec("exhaustive", 1, 3)
+        assert parse_corpus_spec(str(spec)) == spec
+
+    def test_filter_builds_its_patterns(self):
+        # a pattern that cannot be built is refused when the filter is made
+        for family, match in [
+            ((PatternSpec("foo", ()),), "unknown pattern kind"),
+            ((PatternSpec.path(0),), "requires k >= 1"),
+            ((PatternSpec("path", (("n", 4),)),), "takes parameters"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                PatternFilter(family=family, induced=True)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown corpus mode"):

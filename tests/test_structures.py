@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -294,6 +295,13 @@ class TestBalloonOracle:
         ]:
             b = Balloon(path=path, body=frozenset(body), z_set=frozenset(body), value=1, t=1)
             assert not validate_balloon(g, b), (path, body)
+
+    def test_validator_rejects_t_below_one(self):
+        g = cycle_graph(5)
+        b = enumerate_balloons(g, 1, 2)[0]
+        assert validate_balloon(g, b)
+        for t in (0, -1):
+            assert not validate_balloon(g, dataclasses.replace(b, t=t)), t
 
     def test_tip_degree_at_least_t(self):
         # t-connected bodies force at least t body neighbors at the tip
