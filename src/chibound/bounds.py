@@ -180,7 +180,3 @@ def registry_lookup(name: str) -> BoundRegistryEntry:
     if name not in _REGISTRY:
         raise KeyError(f"unknown bound {name!r}; known: {sorted(_REGISTRY)}")
     return _REGISTRY[name]
-
-
-def registry_names() -> list[str]:
-    return sorted(_REGISTRY)

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graph import CapExceeded, Graph, build_graph, iter_bits
+from .graph import CapExceeded, Graph, _is_int, build_graph, iter_bits
 from .patterns import (
     PATTERN_KINDS,
     PatternSpec,
@@ -256,6 +256,15 @@ class CorpusSpec:
         object.__setattr__(self, "filters", tuple(self.filters))
         if self.mode not in _CORPUS_FIELDS:
             raise ValueError(f"unknown corpus mode {self.mode!r}")
+        # a field of another type would print a spec that does not parse back
+        for name in ("n_min", "n_max", "count", "seed"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+        if not (_is_int(self.edge_prob) or isinstance(self.edge_prob, float)):
+            raise ValueError(f"edge probability must be a number, got {self.edge_prob!r}")
+        if not isinstance(self.dedup, bool):
+            raise ValueError(f"dedup must be a bool, got {self.dedup!r}")
         if not 1 <= self.n_min <= self.n_max:
             raise ValueError(f"need 1 <= n_min <= n_max, got {self.n_min}..{self.n_max}")
         if not 0 <= self.edge_prob <= 1:

@@ -16,7 +16,12 @@ from typing import Iterable
 
 
 class CapExceeded(RuntimeError):
-    """A configured size or count cap would be exceeded."""
+    """A module's size cap (``*_MAX_N``) would be exceeded."""
+
+
+def _is_int(value: object) -> bool:
+    """Whether ``value`` is an int and not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def iter_bits(mask: int) -> list[int]:

@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterable
 
-from .graph import Graph, _core_mask, build_graph, components_masks, iter_bits
+from .graph import Graph, _core_mask, _is_int, build_graph, components_masks, iter_bits
 
 
 @dataclass(frozen=True)
@@ -23,6 +23,15 @@ class PatternSpec:
 
     kind: str
     params: tuple[tuple[str, int], ...]
+
+    def __post_init__(self) -> None:
+        # here, not in the cached make_pattern: k=True equals and hashes
+        # like k=1, so a cache hit would skip the check
+        for name, value in self.params:
+            if not _is_int(value):
+                raise ValueError(
+                    f"invalid pattern {self.kind}: {name} must be an int, got {value!r}"
+                )
 
     def __str__(self) -> str:
         if not self.params:
@@ -346,7 +355,7 @@ def find_occurrence(
     if h.n < 1:
         raise ValueError("pattern must have at least one vertex")
     anchored = require_vertex is not None
-    if anchored and not (isinstance(require_vertex, int) and 0 <= require_vertex < g.n):
+    if anchored and not (type(require_vertex) is int and 0 <= require_vertex < g.n):
         raise ValueError(
             f"require_vertex {require_vertex!r} is not a vertex of a graph with n={g.n}"
         )

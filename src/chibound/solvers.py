@@ -1,6 +1,6 @@
 """Exact clique number, chromatic number and independence number.
 
-Everything here is exact: past the configurable size caps the solvers
+Everything here is exact: past ``CHI_MAX_N`` vertices the solvers
 refuse instead of approximating, since downstream verification depends
 on true values of chi and omega.  Every chromatic number, of a whole
 graph or of a vertex subset, comes from one routine, :func:`_chi`, on a
@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .graph import CapExceeded, Graph, iter_bits, mask_of
+
+CHI_MAX_N = 40
 
 
 @dataclass(frozen=True)
@@ -228,35 +230,35 @@ def _greedy(adj: list[int]) -> list[int]:
     return colors
 
 
-def chromatic_number(g: Graph, max_n: int = 40) -> tuple[int, Coloring]:
+def chromatic_number(g: Graph) -> tuple[int, Coloring]:
     """Exact chromatic number with a witnessing proper coloring.
 
     The value and coloring of :func:`_chi` on all of ``g``, mapped back
     from ranks to vertex ids.  Vertices are chosen by most distinct
     neighbor colors, then highest degree, then lowest id, and colors are
     tried in ascending order; this fixes the witness.  Refuses graphs
-    above ``max_n`` vertices rather than returning a heuristic answer.
+    above ``CHI_MAX_N`` vertices rather than returning a heuristic answer.
     """
-    k, colors, rank = _chi(g, g.full_mask(), max_n)
+    k, colors, rank = _chi(g, g.full_mask())
     return k, Coloring(tuple(map(colors.__getitem__, rank)), k)
 
 
-def chi_of_subset(g: Graph, vertices: Iterable[int], max_n: int = 40) -> int:
+def chi_of_subset(g: Graph, vertices: Iterable[int]) -> int:
     """Chromatic number of the induced subgraph on ``vertices`` (0 for the empty set).
 
     The value of :func:`_chi` on the vertex mask, straight from the host
     rows: the same search as :func:`chromatic_number`, without building
-    the subgraph or a witness.  Refuses sets above ``max_n`` vertices.
+    the subgraph or a witness.  Refuses sets above ``CHI_MAX_N`` vertices.
     """
     mask = 0
     for v in vertices:
         if not 0 <= v < g.n:
             raise ValueError(f"vertices out of range: {v} is not in range({g.n})")
         mask |= 1 << v
-    return _chi(g, mask, max_n)[0]
+    return _chi(g, mask)[0]
 
 
-def _chi(g: Graph, mask: int, max_n: int) -> tuple[int, list[int], list[int]]:
+def _chi(g: Graph, mask: int) -> tuple[int, list[int], list[int]]:
     """Chromatic number of the subgraph of ``g`` induced on ``mask``.
 
     One rank relabelling (:func:`_rank_relabel`) and one greedy
@@ -271,11 +273,11 @@ def _chi(g: Graph, mask: int, max_n: int) -> tuple[int, list[int], list[int]]:
     :func:`_max_clique` on the mask.  An
     edgeless mask is answered first, with no relabelling: 1 (0 when
     empty), every vertex colored 0, which is the search's own witness.
-    Returns ``(k, colors by rank, rank)``; refuses over ``max_n`` vertices.
+    Returns ``(k, colors by rank, rank)``; refuses over ``CHI_MAX_N`` vertices.
     """
     n = mask.bit_count()
-    if n > max_n:
-        raise CapExceeded(f"chromatic_number cap is {max_n} vertices, got {n}")
+    if n > CHI_MAX_N:
+        raise CapExceeded(f"chromatic_number cap is {CHI_MAX_N} vertices, got {n}")
     rows = g.adj
     rest = mask
     while rest:

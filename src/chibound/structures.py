@@ -18,13 +18,12 @@ from .graph import (
     CapExceeded,
     Graph,
     _core_mask,
+    _is_int,
     _t_connected_mask,
     bfs_layers,
     build_graph,
     components_masks,
-    induced,
     is_connected_mask,
-    is_t_connected,
     iter_bits,
     mask_of,
 )
@@ -114,11 +113,6 @@ class ClassCertificate:
         return cls(class_id=class_id, case=case, witnesses=witnesses)
 
 
-def _is_int(value: object) -> bool:
-    """Whether ``value`` is an int and not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 # ---------------------------------------------------------------------------
 # Balloons
 
@@ -147,12 +141,7 @@ def _induced_paths(g: Graph, p: int) -> Iterator[tuple[tuple[int, ...], int]]:
         yield from extend([v], 1 << v, 0)
 
 
-def enumerate_balloons(
-    g: Graph,
-    p: int,
-    t: int,
-    cap: int | None = None,
-) -> list[Balloon]:
+def enumerate_balloons(g: Graph, p: int, t: int) -> list[Balloon]:
     """Exhaustively enumerate the (p,t)-balloons of ``g``.
 
     Paths come in lexicographic sequence order; bodies per path by
@@ -178,9 +167,7 @@ def enumerate_balloons(
     Within one call each body mask gets at most one t-connectivity test,
     each z-set one chi, and each body and z-set mask one frozenset,
     shared by every balloon that carries it.  Raises
-    :class:`CapExceeded` when the graph is larger than ``BALLOON_MAX_N``
-    and when there are more than ``cap`` balloons, so a returned list is
-    always complete.
+    :class:`CapExceeded` when the graph is larger than ``BALLOON_MAX_N``.
     """
     if p < 1 or t < 1:
         raise ValueError("p and t must be >= 1")
@@ -222,8 +209,6 @@ def enumerate_balloons(
     for path, ys in candidates:
         tip = path[-1]
         for y_mask in sorted((y for y in ys if connected[y]), key=rank.__getitem__):
-            if cap is not None and len(out) >= cap:
-                raise CapExceeded(f"more than {cap} balloons")
             z_mask = y_mask & ~g.adj[tip]
             value = chi_of_z.get(z_mask)
             if value is None:
@@ -309,8 +294,7 @@ def validate_balloon(g: Graph, b: Balloon) -> bool:
         prev = b.path[-2]
         if {w for w in g.neighbors(prev) if w in body} != {tip}:
             return False
-    sub, _ = induced(g, body)
-    if not is_t_connected(sub, b.t):
+    if not _t_connected_mask(g, mask_of(body), b.t):
         return False
     z = {v for v in body if not g.has_edge(v, tip)} | {tip}
     if z != set(b.z_set):
@@ -322,15 +306,6 @@ def _on_graph(g: Graph, vertices: Iterable[int]) -> bool:
     """Whether every id is a vertex of ``g``, so that a validator rejects
     an id outside ``range(g.n)`` instead of indexing ``adj`` with it."""
     return all(v in range(g.n) for v in vertices)
-
-
-def balloon_layer_max_degree(g: Graph, b: Balloon) -> int:
-    """Max degree of the body subgraph on vertices at body-distance >= 2 from the tip.
-
-    Layers are computed inside the body, not in the host graph.  Returns
-    -1 when no body vertex lies at distance >= 2.
-    """
-    return _far_region(g, b)[1]
 
 
 def _far_region(g: Graph, b: Balloon) -> tuple[list[int], int, int]:
@@ -395,7 +370,7 @@ def validate_biclique(g: Graph, b: Biclique) -> bool:
 # Minimal cutsets
 
 
-def minimal_cutsets(g: Graph, cap: int | None = None) -> list[frozenset[int]]:
+def minimal_cutsets(g: Graph) -> list[frozenset[int]]:
     """All vertex sets X whose removal disconnects ``g`` such that every
     member of X has a neighbor in every remaining component.
 
@@ -404,8 +379,8 @@ def minimal_cutsets(g: Graph, cap: int | None = None) -> list[frozenset[int]]:
     by Berry, Bordat & Cogis (2000): N(C) for each component C of
     G - N[v], closed under S -> N(C) for each x in S and each component
     C of G - (S + N(x)).  The list comes by increasing size then
-    lexicographic.  Raises on disconnected input, on graphs above
-    ``CUTSET_MAX_N`` and when the result would exceed ``cap``.
+    lexicographic.  Raises on disconnected input and on graphs above
+    ``CUTSET_MAX_N``.
     """
     if g.n > CUTSET_MAX_N:
         raise CapExceeded(f"cutset enumeration cap is {CUTSET_MAX_N} vertices, got {g.n}")
@@ -428,8 +403,6 @@ def minimal_cutsets(g: Graph, cap: int | None = None) -> list[frozenset[int]]:
                     found.add(sep)
                     todo.append(sep)
     out = [s_mask for s_mask in found if set(separators_beside(s_mask)) == {s_mask}]
-    if cap is not None and len(out) > cap:
-        raise CapExceeded(f"more than {cap} minimal cutsets")
     out.sort(key=_size_lex)
     return [frozenset(iter_bits(s_mask)) for s_mask in out]
 
@@ -552,13 +525,7 @@ def _lowest(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def in_class_F(
-    g: Graph,
-    k: int,
-    p: int,
-    t: int,
-    cap: int | None = None,
-) -> bool:
+def in_class_F(g: Graph, k: int, p: int, t: int) -> bool:
     """Deep-layer condition: in every (p,t)-balloon some maximum-degree vertex
     of the distance->=2 body region stays close to the tip.
 
@@ -566,14 +533,14 @@ def in_class_F(
     k from the tip neighborhood".  The stricter distance-from-tip reading
     (layer index at most k) at some k >= 3 is this reading at k - 1.
     Membership presumes the C4-free p-flag-free class; non-members are
-    rejected.  Raises :class:`CapExceeded` past ``cap`` balloons.
+    rejected.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     member, _ = in_class_H(g, p)
     if not member:
         raise ValueError("graph is outside the C4-free p-flag-free class")
-    for b in enumerate_balloons(g, p, t, cap=cap):
+    for b in enumerate_balloons(g, p, t):
         body_layers, _, top = _far_region(g, b)
         if top and not top & sum(body_layers[: k + 2]):  # layers 0..k+1
             return False
@@ -642,9 +609,8 @@ def build_class_l_case2(
     return build_graph(b2_f + 1, edges)
 
 
-def class_l_instances(minimum: int = 20) -> list[tuple[Graph, int]]:
-    """A varied list of at least ``minimum`` constructed instances with
-    their intended case number."""
+def class_l_instances() -> list[tuple[Graph, int]]:
+    """A varied list of constructed instances with their intended case number."""
     out: list[tuple[Graph, int]] = []
     for c in range(2, 7):
         out.append((build_class_l_case1(c), 1))
@@ -657,6 +623,4 @@ def class_l_instances(minimum: int = 20) -> list[tuple[Graph, int]]:
         out.append((build_class_l_case2(c, attach_count=2), 2))
         if c >= 3:
             out.append((build_class_l_case2(c, tether_count=2), 2))
-    if len(out) < minimum:
-        raise AssertionError("instance family too small")
     return out

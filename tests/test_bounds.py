@@ -11,7 +11,6 @@ from chibound.bounds import (
     phi_upper,
     ramsey_upper,
     registry_lookup,
-    registry_names,
     s_star_theorem_f,
     theorem_f,
 )
@@ -228,6 +227,3 @@ class TestRegistry:
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             registry_lookup("nonexistent_bound")
-
-    def test_names_listed(self):
-        assert "brause_p5c4" in registry_names()

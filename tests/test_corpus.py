@@ -263,14 +263,30 @@ def test_canonical_key_iff_isomorphic(pair):
     assert same == nx.is_isomorphic(to_networkx(g), to_networkx(h)), (g.edges(), h.edges())
 
 
+@pytest.fixture(scope="module")
+def corpus_all() -> list[Graph]:
+    """Every graph on 1..7 vertices, enumerated once for the tests that read it."""
+    return list(enumerate_graphs(parse_corpus_spec("exhaustive:n=1..7")))
+
+
+@pytest.fixture(scope="module")
+def corpus_p5c4() -> list[Graph]:
+    """The induced (P5, C4)-free graphs on 1..7 vertices, enumerated once."""
+    return list(
+        enumerate_graphs(
+            parse_corpus_spec("exhaustive:n=1..7,filters=free:path:k=5+free:cycle:k=4")
+        )
+    )
+
+
 class TestExhaustiveEnumeration:
     def test_exact_n_counts(self):
         assert sum(1 for _ in enumerate_graphs(CorpusSpec("exhaustive", 3, 3))) == 4
         assert sum(1 for _ in enumerate_graphs(CorpusSpec("exhaustive", 4, 4))) == 11
 
-    def test_classical_counts_through_7(self):
+    def test_classical_counts_through_7(self, corpus_all):
         counts = [0] * 8
-        for g in enumerate_graphs(CorpusSpec("exhaustive", 1, 7)):
+        for g in corpus_all:
             counts[g.n] += 1
         assert counts[1:] == [1, 2, 4, 11, 34, 156, 1044]
 
@@ -289,7 +305,7 @@ class TestExhaustiveEnumeration:
             assert {canonical_key(g) for g in canon} == raw_classes
             assert len(canon) == len(raw_classes)
 
-    def test_matches_atlas_oracle(self):
+    def test_matches_atlas_oracle(self, corpus_all):
         # networkx's atlas lists every graph on up to 7 vertices once per
         # isomorphism class, independently of canonical_key
         atlas = nx.graph_atlas_g()
@@ -300,22 +316,21 @@ class TestExhaustiveEnumeration:
                 for h in atlas
                 if h.number_of_nodes() == n
             }
-            found = [canonical_key(g) for g in enumerate_graphs(CorpusSpec("exhaustive", n, n))]
+            found = [canonical_key(g) for g in corpus_all if g.n == n]
             assert len(found) == len(set(found)) == len(expected)
             assert set(found) == expected
             counts.append(len(found))
         assert counts == [1, 2, 4, 11, 34, 156, 1044]
 
-    def test_filtered_matches_atlas_oracle(self):
+    def test_filtered_matches_atlas_oracle(self, corpus_p5c4):
         # induced P5- and C4-freeness decided by networkx's GraphMatcher
         forbidden = [nx.path_graph(5), nx.cycle_graph(4)]
         expected = [0] * 8
         for h in nx.graph_atlas_g():
             if not any(GraphMatcher(h, f).subgraph_is_isomorphic() for f in forbidden):
                 expected[h.number_of_nodes()] += 1
-        spec = parse_corpus_spec("exhaustive:n=1..7,filters=free:path:k=5+free:cycle:k=4")
         found = [0] * 8
-        for g in enumerate_graphs(spec):
+        for g in corpus_p5c4:
             found[g.n] += 1
         assert found[1:] == expected[1:] == [1, 2, 4, 10, 27, 87, 308]
 
@@ -361,25 +376,25 @@ class TestExhaustiveEnumeration:
         assert a == b
 
     @pytest.mark.parametrize(
-        "text, count, digest",
+        "corpus, count, digest",
         [
             (
-                "exhaustive:n=1..7",
+                "corpus_all",
                 1252,
                 "9701eab755be7693d0f64a5dbf0fe67ab3917e7e402028802f12a41bf542510a",
             ),
             (
-                "exhaustive:n=1..7,filters=free:path:k=5+free:cycle:k=4",
+                "corpus_p5c4",
                 439,
                 "546919660502efc2511da800a682bab2b41a94c677867f3e122e5e15efb9cd4d",
             ),
         ],
         ids=["all", "p5c4"],
     )
-    def test_stream_digest(self, text, count, digest):
+    def test_stream_digest(self, request, corpus, count, digest):
         # pins the representatives and their order: SHA-256 over one
         # graph6 line per yielded graph
-        lines = [write_graph6(g) + "\n" for g in enumerate_graphs(parse_corpus_spec(text))]
+        lines = [write_graph6(g) + "\n" for g in request.getfixturevalue(corpus)]
         assert len(lines) == count
         assert hashlib.sha256("".join(lines).encode()).hexdigest() == digest
 
@@ -516,18 +531,33 @@ class TestGrammar:
         for extra in [dict(count=5), dict(seed=3), dict(edge_prob=0.2)]:
             with pytest.raises(ValueError, match="exhaustive mode takes no"):
                 CorpusSpec("exhaustive", 1, 3, **extra)
+        # nor would a field of the wrong type, in either mode
+        for fields, match in [
+            (dict(mode="exhaustive", n_min=True, n_max=3), "n_min must be an int"),
+            (dict(mode="random", n_min=3, n_max=3.0), "n_max must be an int"),
+            (dict(mode="random", n_min=3, n_max=3, count=2.5), "count must be an int"),
+            (dict(mode="random", n_min=3, n_max=3, seed="x"), "seed must be an int"),
+            (dict(mode="random", n_min=3, n_max=3, edge_prob=True), "must be a number"),
+            (dict(mode="random", n_min=3, n_max=3, dedup=1), "dedup must be a bool"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                CorpusSpec(**fields)
         spec = CorpusSpec("exhaustive", 1, 3)
         assert parse_corpus_spec(str(spec)) == spec
 
     def test_filter_builds_its_patterns(self):
-        # a pattern that cannot be built is refused when the filter is made
-        for family, match in [
-            ((PatternSpec("foo", ()),), "unknown pattern kind"),
-            ((PatternSpec.path(0),), "requires k >= 1"),
-            ((PatternSpec("path", (("n", 4),)),), "takes parameters"),
+        # a pattern that cannot be built is refused when the filter is made,
+        # and one with a parameter that is not an int when the pattern is
+        for kind, params, match in [
+            ("foo", (), "unknown pattern kind"),
+            ("path", (("k", 0),), "requires k >= 1"),
+            ("path", (("n", 4),), "takes parameters"),
+            ("path", (("k", True),), "k must be an int"),
+            ("path", (("k", 2.0),), "k must be an int"),
+            ("path", (("k", "3"),), "k must be an int"),
         ]:
             with pytest.raises(ValueError, match=match):
-                PatternFilter(family=family, induced=True)
+                PatternFilter(family=(PatternSpec(kind, params),), induced=True)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown corpus mode"):

@@ -329,7 +329,7 @@ class TestOracleAgreement:
                             carriers = brute_force_carriers(g, h, v, induced_mode)
                             assert occ.mapping.index(v) == carriers[0]
 
-    @pytest.mark.parametrize("bad", [4, -1, 1.0])
+    @pytest.mark.parametrize("bad", [4, -1, 1.0, True])
     def test_require_vertex_out_of_range(self, bad):
         message = rf"require_vertex {re.escape(repr(bad))}\b.*n=4"
         with pytest.raises(ValueError, match=message):

@@ -92,7 +92,6 @@ class TestChromaticNumber:
         g = build_graph(41, [(0, 1)])
         with pytest.raises(CapExceeded):
             chromatic_number(g)
-        assert chromatic_number(g, max_n=50)[0] == 2
 
     def test_matches_brute_force(self):
         rng = random.Random(29)
@@ -207,6 +206,17 @@ class TestChromaticNumber:
             checked += 1
             assert ilp_colorable(g, chi, sorted(clique)), g.edges()
             assert not ilp_colorable(g, chi - 1, sorted(clique)), g.edges()
+
+    @settings(max_examples=80)
+    @given(g=graphs(min_n=9, max_n=14))
+    def test_chi_matches_ilp_past_brute_force(self, g):
+        # 9..14 vertices: past brute force (at most 8), below the seeded
+        # ILP check above (20..30)
+        chi, _ = chromatic_number(g)
+        omega, clique = clique_number(g)
+        assert ilp_colorable(g, chi, sorted(clique))
+        if chi > omega:
+            assert not ilp_colorable(g, chi - 1, sorted(clique))
 
 
 class TestGreedy:
@@ -359,7 +369,7 @@ class TestChiOfSubset:
         with pytest.raises(ValueError, match="out of range"):
             chi_of_subset(cycle_graph(5), [-1])
         with pytest.raises(CapExceeded):
-            chi_of_subset(cycle_graph(5), range(5), max_n=4)
+            chi_of_subset(build_graph(41, []), range(41))
 
 
 class TestCliqueSharing:

@@ -24,7 +24,7 @@ from chibound.structures import (
     Biclique,
     ClassCertificate,
     _core_mask,
-    balloon_layer_max_degree,
+    _far_region,
     build_class_l_case1,
     build_class_l_case2,
     class_l_instances,
@@ -112,15 +112,6 @@ class TestBalloonExamples:
         assert len(balloons) == 4
         for b in balloons:
             assert b.z_set == {b.tip} and b.value == 1
-
-    def test_cap_truncation(self):
-        # C5 has five (1,2)-balloons: a smaller cap raises, never truncates
-        c5 = cycle_graph(5)
-        for cap in range(5):
-            with pytest.raises(CapExceeded, match=f"more than {cap} balloons"):
-                enumerate_balloons(c5, 1, 2, cap=cap)
-        balloons = enumerate_balloons(c5, 1, 2, cap=5)
-        assert len(balloons) == 5 and balloons == enumerate_balloons(c5, 1, 2)
 
     def test_size_guard(self):
         with pytest.raises(CapExceeded):
@@ -317,19 +308,19 @@ class TestBalloonLayerDegree:
     def test_k4_sentinel(self):
         g = complete_graph(4)
         b = enumerate_balloons(g, 1, 3)[0]
-        assert balloon_layer_max_degree(g, b) == -1
+        assert _far_region(g, b)[1] == -1
 
     def test_c5_far_pair(self):
         g = cycle_graph(5)
         b = enumerate_balloons(g, 1, 2)[0]
         # the two far vertices are adjacent
-        assert balloon_layer_max_degree(g, b) == 1
+        assert _far_region(g, b)[1] == 1
 
     def test_c6_far_path(self):
         g = cycle_graph(6)
         b = enumerate_balloons(g, 1, 2)[0]
         # far region is a 3-vertex path inside the body
-        assert balloon_layer_max_degree(g, b) == 2
+        assert _far_region(g, b)[1] == 2
 
     def test_layers_inside_body_not_host(self):
         # a host shortcut outside the body must not shrink body distances:
@@ -342,7 +333,7 @@ class TestBalloonLayerDegree:
             if b.body == frozenset(range(6)) and b.tip == 0
         ]
         assert balloons
-        assert balloon_layer_max_degree(g, balloons[0]) == 2
+        assert _far_region(g, balloons[0])[1] == 2
 
 
 class TestBicliques:
@@ -411,9 +402,9 @@ class TestMinimalCutsets:
         with pytest.raises(ValueError):
             minimal_cutsets(build_graph(4, [(0, 1), (2, 3)]))
 
-    def test_cap(self):
-        with pytest.raises(CapExceeded):
-            minimal_cutsets(path_graph(6), cap=1)
+    def test_size_guard(self):
+        with pytest.raises(CapExceeded, match="cutset enumeration cap is 16 vertices, got 17"):
+            minimal_cutsets(path_graph(17))
 
     def test_criterion_cross_check(self):
         # independent filter over all subsets with set arithmetic; the
@@ -534,7 +525,7 @@ class TestClassL:
         assert g.has_edge(w["v"], w["y"]) and not g.has_edge(w["w"], w["y"])
 
     def test_all_shipped_instances_are_members(self):
-        for g, case in class_l_instances(20):
+        for g, case in class_l_instances():
             ok, cert = in_class_L(g, 2, self.IDENTITY)
             assert ok, (g.edges(), case)
             assert cert.case == case
@@ -550,13 +541,13 @@ class TestClassL:
             return chi_of_subset(g, vertices)
 
         monkeypatch.setattr(structures, "chi_of_subset", counting)
-        for g, _ in class_l_instances(20):
+        for g, _ in class_l_instances():
             asked.clear()
             in_class_L(g, 2, self.IDENTITY)
             assert len(asked) == len(set(asked)), g.edges()
 
     def test_certificate_json_round_trip(self):
-        for g, _ in class_l_instances(20):
+        for g, _ in class_l_instances():
             ok, cert = in_class_L(g, 2, self.IDENTITY)
             assert ok
             text = json.dumps(cert.to_json_dict())
@@ -596,7 +587,7 @@ class TestClassL:
                 ClassCertificate.from_json_dict(bad)
 
     def test_instance_count(self):
-        assert len(class_l_instances(20)) >= 20
+        assert len(class_l_instances()) >= 20
 
 
 class TestClassF:
@@ -607,12 +598,6 @@ class TestClassF:
 
     def test_c5(self):
         assert in_class_F(cycle_graph(5), 2, 1, 2)
-
-    def test_cap_equal_to_balloon_count_is_not_truncation(self):
-        # C5 has exactly five (1,2)-balloons: one per tip, body all of C5
-        assert in_class_F(cycle_graph(5), 2, 1, 2, cap=5)
-        with pytest.raises(CapExceeded):
-            in_class_F(cycle_graph(5), 2, 1, 2, cap=4)
 
     def test_rejects_non_member(self):
         with pytest.raises(ValueError):
@@ -634,7 +619,7 @@ class TestConstructedInstancesAreClean:
         fam = [PatternSpec.path(6), PatternSpec.broom(2, 2)]
         from chibound.patterns import is_family_free
 
-        for g, _ in class_l_instances(20):
+        for g, _ in class_l_instances():
             ok, occ = is_family_free(g, fam, induced=True)
             assert ok, (g.edges(), occ)
 
