@@ -10,7 +10,8 @@ Layered API:
 - :mod:`chibound.structures` -- balloons, bicliques, minimal cutsets and
   graph-class membership
 - :mod:`chibound.bounds` -- arbitrary-precision bound formulas and the
-  registry of cited chi-binding bounds
+  registry of cited chi-binding bounds, each carrying its class as
+  corpus filters
 - :mod:`chibound.corpus` -- graph generation and graph6 I/O
 """
 

@@ -1,7 +1,9 @@
 """Arbitrary-precision evaluators for every closed-form chi-binding bound.
 
 Values here overflow 64 bits by thousands of digits at the smallest
-legal parameters, so every bound is an exact Python integer.
+legal parameters, so every bound is an exact Python integer.  The
+registry of cited bounds names each bound's class as corpus filters,
+so a bound and the corpus it is checked on come from one entry.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+from .corpus import PatternFilter, _parse_filters
 from .graph import Graph, degeneracy
 
 
@@ -122,15 +125,16 @@ class BoundRegistryEntry:
 
     ``threshold(graph, omega)`` returns the integer ceiling the
     chromatic number is compared against; ``relation`` is ``"le"`` or
-    ``"eq"``.  ``class_description`` states the hereditary class the
-    bound is published for; suites supply the matching filter.
+    ``"eq"``.  ``filters`` is the hereditary class the bound is published
+    for, as ``CorpusSpec(filters=...)`` takes it; it is empty for all
+    graphs.
     """
 
     name: str
     threshold: Callable[[Graph, int], int]
     relation: str
     citation: str
-    class_description: str
+    filters: tuple[PatternFilter, ...]
 
 
 _REGISTRY: dict[str, BoundRegistryEntry] = {
@@ -141,35 +145,21 @@ _REGISTRY: dict[str, BoundRegistryEntry] = {
             threshold=lambda g, w: degeneracy(g)[0] + 1,
             relation="le",
             citation="chi(G) <= degeneracy(G) + 1",
-            class_description="all graphs",
+            filters=(),
         ),
         BoundRegistryEntry(
             name="p4free_equality",
             threshold=lambda g, w: w,
             relation="eq",
             citation="chi(G) = omega(G) on P4-free graphs",
-            class_description="P4-free graphs",
+            filters=_parse_filters("free:path:k=4"),
         ),
         BoundRegistryEntry(
             name="brause_p5c4",
             threshold=lambda g, w: -((-(5 * w - 1)) // 4),
             relation="le",
             citation="chi(G) <= ceil((5 omega - 1) / 4) on (P5, C4)-free graphs",
-            class_description="(P5, C4)-free graphs",
-        ),
-        BoundRegistryEntry(
-            name="cameron_p6diamond",
-            threshold=lambda g, w: w + 3,
-            relation="le",
-            citation="chi(G) <= omega(G) + 3 on (P6, diamond)-free graphs",
-            class_description="(P6, diamond)-free graphs",
-        ),
-        BoundRegistryEntry(
-            name="chudnovsky_c4_2broom",
-            threshold=lambda g, w: (3 * w) // 2,
-            relation="le",
-            citation="chi(G) <= (3/2) omega(G) on (C4, 2-broom)-free graphs",
-            class_description="(C4, 2-broom)-free graphs",
+            filters=_parse_filters("free:path:k=5+free:cycle:k=4"),
         ),
     )
 }

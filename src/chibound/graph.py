@@ -204,8 +204,8 @@ def is_t_connected(g: Graph, t: int) -> bool:
     nonadjacent pair inside N(v) (Esfahanian & Hakimi, 1984): a minimum
     separator either misses v or contains v and splits N(v).
     """
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
+    if not _is_int(t) or t < 1:
+        raise ValueError(f"t must be an int >= 1, got {t!r}")
     return _t_connected_mask(g, g.full_mask(), t)
 
 

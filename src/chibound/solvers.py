@@ -252,8 +252,8 @@ def chi_of_subset(g: Graph, vertices: Iterable[int]) -> int:
     """
     mask = 0
     for v in vertices:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertices out of range: {v} is not in range({g.n})")
+        if not (type(v) is int and 0 <= v < g.n):
+            raise ValueError(f"vertices out of range: {v!r} is not an int in range({g.n})")
         mask |= 1 << v
     return _chi(g, mask)[0]
 

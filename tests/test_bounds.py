@@ -14,6 +14,8 @@ from chibound.bounds import (
     s_star_theorem_f,
     theorem_f,
 )
+from chibound.corpus import CorpusSpec, enumerate_graphs, write_graph6
+from chibound.solvers import chromatic_number, clique_number
 
 from helpers import complete_graph
 
@@ -201,24 +203,31 @@ class TestK3tTotalBound:
             assert total - t**p * phi_upper(t, w)[0] == fixed
 
 
+def _violations(entry, filters, n_max):
+    """graph6 of every graph of the exhaustive corpus on 1..n_max vertices
+    under ``filters`` whose chi breaks the entry's relation."""
+    out = []
+    for g in enumerate_graphs(CorpusSpec("exhaustive", 1, n_max, filters=filters)):
+        omega, _ = clique_number(g)
+        chi, _ = chromatic_number(g)
+        limit = entry.threshold(g, omega)
+        if not (chi <= limit if entry.relation == "le" else chi == limit):
+            out.append(write_graph6(g))
+    return out
+
+
 class TestRegistry:
     def test_brause(self):
         entry = registry_lookup("brause_p5c4")
         assert entry.threshold(complete_graph(1), 5) == 6
+        assert "+".join(map(str, entry.filters)) == "free:path:k=5+free:cycle:k=4"
 
     def test_p4free(self):
         entry = registry_lookup("p4free_equality")
         for k in range(1, 9):
             assert entry.threshold(complete_graph(1), k) == k
         assert entry.relation == "eq"
-
-    def test_cameron(self):
-        assert registry_lookup("cameron_p6diamond").threshold(complete_graph(1), 4) == 7
-
-    def test_chudnovsky(self):
-        entry = registry_lookup("chudnovsky_c4_2broom")
-        assert entry.threshold(complete_graph(1), 4) == 6
-        assert entry.threshold(complete_graph(1), 5) == 7
+        assert "+".join(map(str, entry.filters)) == "free:path:k=4"
 
     def test_degeneracy_entry_uses_graph(self):
         entry = registry_lookup("degeneracy_plus_one")
@@ -227,3 +236,12 @@ class TestRegistry:
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             registry_lookup("nonexistent_bound")
+
+    @pytest.mark.parametrize("name", ["degeneracy_plus_one", "p4free_equality", "brause_p5c4"])
+    def test_entry_holds_on_its_class(self, name):
+        entry = registry_lookup(name)
+        assert _violations(entry, entry.filters, 6) == []
+
+    def test_p4free_equality_fails_without_its_filter(self):
+        # C5 is the one graph on at most 5 vertices with chi != omega
+        assert _violations(registry_lookup("p4free_equality"), (), 5) == ["DLo"]

@@ -15,6 +15,7 @@ from chibound.graph import (
     build_graph,
     components_masks,
     induced,
+    is_t_connected,
     mask_of,
 )
 from chibound.patterns import PatternSpec, find_induced, is_family_free, make_pattern
@@ -612,6 +613,28 @@ class TestClassF:
         assert not in_class_F(g, 2, 1, 2)
         # and the condition is recovered at a larger depth allowance
         assert in_class_F(g, 3, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (chi_of_subset, ([True, 2],)),
+        (chi_of_subset, ([1.0],)),
+        (enumerate_balloons, (True, 1)),
+        (enumerate_balloons, (2.0, 1)),
+        (enumerate_balloons, (1, True)),
+        (in_class_L, (2.5, {})),
+        (in_class_F, (2, 2, True)),
+        (in_class_F, (2.5, 2, 1)),
+        (in_class_H, (True,)),
+        (enumerate_bicliques, (True,)),
+        (is_t_connected, (1.5,)),
+    ],
+    ids=lambda v: v.__name__ if callable(v) else repr(v),
+)
+def test_integer_parameters_refuse_bool_and_float(fn, args):
+    with pytest.raises(ValueError, match="must be an int|must be ints|not an int"):
+        fn(cycle_graph(5), *args)
 
 
 class TestConstructedInstancesAreClean:
