@@ -13,13 +13,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .corpus import PatternFilter, _parse_filters
-from .graph import Graph, degeneracy
+from .graph import Graph, _require_ints, degeneracy
 
 
 def ramsey_upper(s: int, t: int) -> int:
     """Binomial upper bound C(s+t-2, t-1) on the Ramsey number R(s,t)."""
-    if s < 1 or t < 1:
-        raise ValueError("s and t must be >= 1")
+    _require_ints(s=(s, 1), t=(t, 1))
     return math.comb(s + t - 2, t - 1)
 
 
@@ -31,8 +30,7 @@ def phi_upper(n: int, w: int) -> tuple[int, str]:
     is ``C(n,2)(w-2) + n`` for n>3, w>1; ``unified`` is
     ``C(n,2)(w-1) + n``, which is n at its only use, n>3 and w=1.
     """
-    if n < 3 or w < 1:
-        raise ValueError("need n >= 3 and w >= 1")
+    _require_ints(n=(n, 3), w=(w, 1))
     if n == 3:
         return 5 * (w - 1) // 2 + 1, "claim21"
     if w > 1:
@@ -43,8 +41,7 @@ def phi_upper(n: int, w: int) -> tuple[int, str]:
 def mgun_bound(p: int, q: int, s: int, t: int) -> int:
     """Chromatic bound for graphs with no (p,t)-balloon of value >= q and
     no t-biclique of value s:  (sum_{i<p} t^i) (s + t(2t+9)) + t^p q."""
-    if min(p, q, s, t) < 1:
-        raise ValueError("all parameters must be >= 1")
+    _require_ints(p=(p, 1), q=(q, 1), s=(s, 1), t=(t, 1))
     prefix = sum(t**i for i in range(p))
     return prefix * (s + t * (2 * t + 9)) + t**p * q
 
@@ -67,16 +64,14 @@ def theorem_f(p: int, t: int, d: int) -> int:
     balloon/biclique machinery with balloon threshold
     C(t,2)(dt-1) + t + 2.
     """
-    if p < 2 or t < 3 or d < 1:
-        raise ValueError("need p >= 2, t >= 3, d >= 1")
+    _require_ints(p=(p, 2), t=(t, 3), d=(d, 1))
     return _induction(p, t, d, lambda level: math.comb(t, 2) * (level * t - 1) + t + 2)
 
 
 def s_star_theorem_f(p: int, t: int, d: int) -> int:
     """Same induction as :func:`theorem_f` for the two-arm-star exclusion,
     with the balloon threshold replaced by dt + 2."""
-    if p < 1 or t < 5 or d < 1:
-        raise ValueError("need p >= 1, t >= 5, d >= 1")
+    _require_ints(p=(p, 1), t=(t, 5), d=(d, 1))
     return _induction(p, t, d, lambda level: level * t + 2)
 
 
@@ -84,8 +79,7 @@ def degeneracy_bound(h: int, zeta: int, t: int, eta: int) -> int:
     """Degeneracy ceiling (h * zeta * t) ** ((eta+3)! * h) for graphs with
     no K_{t,t} subgraph excluding a rooted tree of order h, height <= eta
     and spread <= zeta."""
-    if h < 1 or zeta < 2 or t < 1 or eta < 1:
-        raise ValueError("need h >= 1, zeta >= 2, t >= 1, eta >= 1")
+    _require_ints(h=(h, 1), zeta=(zeta, 2), t=(t, 1), eta=(eta, 1))
     return (h * zeta * t) ** (math.factorial(eta + 3) * h)
 
 
@@ -97,8 +91,7 @@ def biclique_value_bound(p: int, t: int) -> int:
     Astronomically large: at (p=2, t=3) the value is 2 + 117^1560,
     beyond 10^3226.
     """
-    if p < 2 or t < 3:
-        raise ValueError("need p >= 2, t >= 3")
+    _require_ints(p=(p, 2), t=(t, 3))
     return 2 + degeneracy_bound(sum(t**i for i in range(p + 1)), t, t, p)
 
 
@@ -109,8 +102,7 @@ def k3t_total_bound(p: int, t: int, w: int) -> tuple[int, str]:
     the biclique term and phi(t, w) + 2 as the balloon term; only the
     phi term depends on w.  Returns the value and the phi branch used.
     """
-    if p < 2 or t < 3 or w < 1:
-        raise ValueError("need p >= 2, t >= 3, w >= 1")
+    _require_ints(p=(p, 2), t=(t, 3), w=(w, 1))
     phi, branch = phi_upper(t, w)
     return mgun_bound(p, phi + 2, biclique_value_bound(p, t), t), branch
 

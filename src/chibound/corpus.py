@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .graph import CapExceeded, Graph, _is_int, build_graph, iter_bits
 from .patterns import (
@@ -192,8 +192,6 @@ class PatternFilter:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "family", tuple(self.family))
-        for spec in self.family:
-            make_pattern(spec)  # raises ValueError on a kind or parameter it cannot build
         if len(self.family) != 1 and self._class_h_p() is None:
             raise ValueError(f"a filter is one pattern or class H, got {self.family}")
 
@@ -227,20 +225,19 @@ class PatternFilter:
         return f"{'free' if self.induced else 'nosub'}:{self.family[0]}"
 
 
-# Optional fields of each corpus mode; ``n`` is required in both.
-_CORPUS_FIELDS = {"exhaustive": (), "random": ("p", "count", "seed", "dedup")}
-
-
 @dataclass(frozen=True)
 class CorpusSpec:
     """Deterministic description of a graph corpus.
 
     Exhaustive mode yields one canonical representative per isomorphism
-    class on n_min..n_max vertices.  Random mode samples G(n, p), with
-    n = n_min = n_max, ``count`` times from ``seed``; ``dedup`` only
-    affects random mode, where it drops graphs isomorphic to one already
-    yielded.  Filters apply in both modes and are kept as a tuple, so a
-    spec hashes and equals the one its string parses back to.
+    class on n_min..n_max vertices and takes none of the sampling fields
+    (``edge_prob``, ``count``, ``seed``, ``dedup``) off their defaults.
+    Random mode samples G(n, p), with n = n_min = n_max, ``count`` times
+    from ``seed``; ``dedup``, off by default, drops graphs isomorphic to
+    one already yielded.  The field defaults here are the only ones: the
+    string grammar fills in no value of its own.  Filters apply in both
+    modes and are kept as a tuple, so a spec hashes and equals the one
+    its string parses back to.
     """
 
     mode: str  # "exhaustive" | "random"
@@ -250,11 +247,11 @@ class CorpusSpec:
     count: int = 0
     seed: int = 0
     filters: tuple[PatternFilter, ...] = ()
-    dedup: bool = True
+    dedup: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "filters", tuple(self.filters))
-        if self.mode not in _CORPUS_FIELDS:
+        if self.mode not in ("exhaustive", "random"):
             raise ValueError(f"unknown corpus mode {self.mode!r}")
         # a field of another type would print a spec that does not parse back
         for name in ("n_min", "n_max", "count", "seed"):
@@ -271,12 +268,13 @@ class CorpusSpec:
             raise ValueError(f"edge probability must lie in [0, 1], got {self.edge_prob}")
         if self.count < 0:
             raise ValueError(f"count must be nonnegative, got {self.count}")
-        if self.mode == "exhaustive" and not self.dedup:
-            raise ValueError("exhaustive mode yields one graph per class; dedup cannot be off")
-        if self.mode == "exhaustive" and (self.edge_prob, self.count, self.seed) != (0.5, 0, 0):
+        sampling = ("edge_prob", "count", "seed", "dedup")
+        if self.mode == "exhaustive" and any(
+            getattr(self, name) != getattr(CorpusSpec, name) for name in sampling
+        ):
             raise ValueError(
-                "exhaustive mode takes no edge probability, count or seed, got "
-                f"p={self.edge_prob}, count={self.count}, seed={self.seed}"
+                "exhaustive mode takes no edge probability, count, seed or dedup, got "
+                f"p={self.edge_prob}, count={self.count}, seed={self.seed}, dedup={self.dedup}"
             )
         if self.mode == "random" and self.n_min != self.n_max:
             raise ValueError(
@@ -415,6 +413,22 @@ def parse_pattern(text: str) -> PatternSpec:
     return PatternSpec(kind, tuple((name, int(params[name])) for name in names))
 
 
+def _read_flag(text: str) -> bool:
+    if text not in ("0", "1"):
+        raise ValueError(f"dedup must be 0 or 1, got {text!r}")
+    return text == "1"
+
+
+# Random mode's optional grammar keys: key -> (CorpusSpec field, reader of
+# the value text).  Exhaustive mode takes none of them.
+_RANDOM_KEYS: dict[str, tuple[str, Callable[[str], object]]] = {
+    "p": ("edge_prob", float),
+    "count": ("count", int),
+    "seed": ("seed", int),
+    "dedup": ("dedup", _read_flag),
+}
+
+
 def parse_corpus_spec(text: str) -> CorpusSpec:
     """Parse corpus strings, the inverse of ``CorpusSpec.__str__``.
 
@@ -425,39 +439,26 @@ def parse_corpus_spec(text: str) -> CorpusSpec:
         exhaustive:n=1..9,filters=H:p=2+free:bplus:p=2,k=2,t=3
         random:n=8,p=0.5,count=200,seed=7,dedup=1
 
-    Each field of the mode appears at most once and no other field is
-    accepted; random mode defaults to p=0.5, count=100, seed=0, dedup=0.
+    ``n`` is ``a`` or ``a..b`` in both modes (random mode takes one
+    count); each field of the mode appears at most once and no other
+    field is accepted.  A field left out keeps its ``CorpusSpec``
+    default, so ``random:n=5`` is ``CorpusSpec("random", 5, 5)``.
     """
     text = text.strip()
     mode, _, rest = text.partition(":")
     mode = mode.lower()
-    if mode not in _CORPUS_FIELDS:
-        raise ValueError(f"unknown corpus mode {mode!r}")
+    CorpusSpec(mode)  # refuses an unknown mode before its keys are read
     filters: tuple[PatternFilter, ...] = ()
     if "filters=" in rest:
         head, _, filter_text = rest.partition("filters=")
         filters = _parse_filters(filter_text)
         rest = head.rstrip(",")
-    fields = _parse_params(rest, ("n",), text, _CORPUS_FIELDS[mode])
-    if mode == "exhaustive":
-        lo, dots, hi = fields["n"].partition("..")
-        n_min = int(lo)
-        n_max = int(hi) if dots else n_min
-        return CorpusSpec(mode="exhaustive", n_min=n_min, n_max=n_max, filters=filters)
-    dedup = fields.get("dedup", "0")
-    if dedup not in ("0", "1"):
-        raise ValueError(f"dedup must be 0 or 1 in {text!r}")
-    n = int(fields["n"])
-    return CorpusSpec(
-        mode="random",
-        n_min=n,
-        n_max=n,
-        edge_prob=float(fields.get("p", "0.5")),
-        count=int(fields.get("count", "100")),
-        seed=int(fields.get("seed", "0")),
-        filters=filters,
-        dedup=dedup == "1",
-    )
+    fields = _parse_params(rest, ("n",), text, tuple(_RANDOM_KEYS) if mode == "random" else ())
+    lo, dots, hi = fields.pop("n").partition("..")
+    given = {
+        field: read(fields[key]) for key, (field, read) in _RANDOM_KEYS.items() if key in fields
+    }
+    return CorpusSpec(mode, int(lo), int(hi) if dots else int(lo), filters=filters, **given)
 
 
 def _parse_filters(text: str) -> tuple[PatternFilter, ...]:

@@ -24,6 +24,14 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _require_ints(**checks: tuple[object, int]) -> None:
+    """Raise ``ValueError`` unless each ``name=(value, least)`` holds an
+    int, not a bool, that is at least ``least``."""
+    for name, (value, least) in checks.items():
+        if not _is_int(value) or value < least:
+            raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+
+
 def iter_bits(mask: int) -> list[int]:
     """The set bit positions of ``mask`` in ascending order."""
     out = []
@@ -112,15 +120,15 @@ class Graph:
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph on vertices 0..n-1 from an edge list.
 
-    Duplicate edges are merged.  Raises ``ValueError`` on out-of-range
+    Duplicate edges are merged.  Raises ``ValueError`` on a vertex count
+    or vertex id that is not an int (bools included), out-of-range
     vertex ids or self-loops.
     """
-    if n < 0:
-        raise ValueError(f"vertex count must be nonnegative, got {n}")
+    _require_ints(n=(n, 0))
     adj = [0] * n
     for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u!r}, {v!r}) is not two ints in range({n})")
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
         adj[u] |= 1 << v
@@ -204,8 +212,7 @@ def is_t_connected(g: Graph, t: int) -> bool:
     nonadjacent pair inside N(v) (Esfahanian & Hakimi, 1984): a minimum
     separator either misses v or contains v and splits N(v).
     """
-    if not _is_int(t) or t < 1:
-        raise ValueError(f"t must be an int >= 1, got {t!r}")
+    _require_ints(t=(t, 1))
     return _t_connected_mask(g, g.full_mask(), t)
 
 

@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterable
 
-from .graph import Graph, _core_mask, _is_int, build_graph, components_masks, iter_bits
+from .graph import Graph, _core_mask, _require_ints, build_graph, components_masks, iter_bits
 
 
 @dataclass(frozen=True)
@@ -25,13 +25,16 @@ class PatternSpec:
     params: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
-        # here, not in the cached make_pattern: k=True equals and hashes
-        # like k=1, so a cache hit would skip the check
-        for name, value in self.params:
-            if not _is_int(value):
-                raise ValueError(
-                    f"invalid pattern {self.kind}: {name} must be an int, got {value!r}"
-                )
+        # the one validity check, here and not in the cached make_pattern:
+        # k=True equals and hashes like k=1, so a cache hit would skip it
+        if self.kind not in PATTERN_KINDS:
+            raise ValueError(f"unknown pattern kind {self.kind!r}")
+        names, minimums, _ = PATTERN_KINDS[self.kind]
+        if tuple(name for name, _ in self.params) != names:
+            raise ValueError(f"invalid pattern {self}: {self.kind} takes parameters {names}")
+        _require_ints(
+            **{name: (value, least) for (name, value), least in zip(self.params, minimums)}
+        )
 
     def __str__(self) -> str:
         if not self.params:
@@ -157,7 +160,8 @@ def _biclique(s: int, t: int) -> Graph:
 
 # kind -> (parameter names, the minimum of each parameter, builder taking
 # the parameters in that order).  The table is the single source for the
-# PatternSpec constructors, make_pattern and parse_pattern.
+# PatternSpec constructors and their validation, make_pattern and
+# parse_pattern.
 PatternKind = tuple[tuple[str, ...], tuple[int, ...], Callable[..., Graph]]
 PATTERN_KINDS: dict[str, PatternKind] = {
     "path": (("k",), (1,), lambda k: build_graph(k, _chain(range(k)))),
@@ -180,17 +184,11 @@ def _spec(kind: str, *values: int) -> PatternSpec:
 
 @lru_cache(maxsize=None)
 def make_pattern(spec: PatternSpec) -> Graph:
-    """Construct the pattern graph for ``spec`` (cached; graphs are immutable)."""
-    if spec.kind not in PATTERN_KINDS:
-        raise ValueError(f"unknown pattern kind {spec.kind!r}")
-    names, minimums, build = PATTERN_KINDS[spec.kind]
-    if tuple(name for name, _ in spec.params) != names:
-        raise ValueError(f"invalid pattern {spec}: {spec.kind} takes parameters {names}")
-    values = [value for _, value in spec.params]
-    if any(v < m for v, m in zip(values, minimums)):
-        rule = ", ".join(f"{name} >= {m}" for name, m in zip(names, minimums))
-        raise ValueError(f"invalid pattern {spec}: requires {rule}")
-    return build(*values)
+    """Construct the pattern graph for ``spec`` (cached; graphs are immutable).
+
+    A ``PatternSpec`` is valid once made, so this only runs the builder.
+    """
+    return PATTERN_KINDS[spec.kind][2](*(value for _, value in spec.params))
 
 
 def validate_occurrence(g: Graph, h: Graph, occ: Occurrence) -> bool:

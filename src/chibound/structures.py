@@ -19,6 +19,7 @@ from .graph import (
     Graph,
     _core_mask,
     _is_int,
+    _require_ints,
     _t_connected_mask,
     bfs_layers,
     build_graph,
@@ -169,8 +170,7 @@ def enumerate_balloons(g: Graph, p: int, t: int) -> list[Balloon]:
     shared by every balloon that carries it.  Raises
     :class:`CapExceeded` when the graph is larger than ``BALLOON_MAX_N``.
     """
-    if not (_is_int(p) and _is_int(t)) or p < 1 or t < 1:
-        raise ValueError(f"p and t must be ints >= 1, got p={p!r}, t={t!r}")
+    _require_ints(p=(p, 1), t=(t, 1))
     if g.n > BALLOON_MAX_N:
         raise CapExceeded(
             f"balloon enumeration cap is {BALLOON_MAX_N} vertices, got {g.n}"
@@ -332,8 +332,7 @@ def enumerate_bicliques(g: Graph, t: int) -> list[Biclique]:
     for any value-threshold question.  X sets come in lexicographic
     order.
     """
-    if not _is_int(t) or t < 1:
-        raise ValueError(f"t must be an int >= 1, got {t!r}")
+    _require_ints(t=(t, 1))
     out: list[Biclique] = []
     if g.n < t:
         return out
@@ -426,8 +425,7 @@ def _boundary(g: Graph, mask: int) -> int:
 
 def in_class_H(g: Graph, p: int) -> tuple[bool, Occurrence | None]:
     """Membership in the C4-free and p-flag-free class, with witness on failure."""
-    if not _is_int(p) or p < 1:
-        raise ValueError(f"p must be an int >= 1, got {p!r}")
+    _require_ints(p=(p, 1))
     return is_family_free(g, list(c4_flag_family(p)), induced=True)
 
 
@@ -455,8 +453,7 @@ def in_class_L(
     order X, v, B1, y, F is returned.  A disconnected graph or one with
     fewer than 2 vertices raises ``ValueError`` before any search.
     """
-    if not _is_int(i) or i < 2:
-        raise ValueError(f"i must be an int >= 2, got {i!r}")
+    _require_ints(i=(i, 2))
     if g.n < 2 or not is_connected_mask(g, g.full_mask()):
         raise ValueError("in_class_L requires a connected graph on at least 2 vertices")
     free, occ = is_family_free(g, _L_PRECONDITION_FAMILY, induced=True)
@@ -535,8 +532,7 @@ def in_class_F(g: Graph, k: int, p: int, t: int) -> bool:
     Membership presumes the C4-free p-flag-free class; non-members are
     rejected.
     """
-    if not _is_int(k) or k < 2:
-        raise ValueError(f"k must be an int >= 2, got {k!r}")
+    _require_ints(k=(k, 2), p=(p, 1), t=(t, 1))
     member, _ = in_class_H(g, p)
     if not member:
         raise ValueError("graph is outside the C4-free p-flag-free class")

@@ -203,6 +203,33 @@ class TestK3tTotalBound:
             assert total - t**p * phi_upper(t, w)[0] == fixed
 
 
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (ramsey_upper, (True, 3)),
+        (ramsey_upper, (3, 2.0)),
+        (phi_upper, (3, 2.5)),
+        (phi_upper, (4, True)),
+        (mgun_bound, (1, 1.5, 1, 1)),
+        (mgun_bound, (True, 1, 1, 1)),
+        (theorem_f, (2.0, 3, 2)),
+        (theorem_f, (2, 3, True)),
+        (s_star_theorem_f, (1, 5.0, 1)),
+        (s_star_theorem_f, (True, 5, 1)),
+        (degeneracy_bound, (1, 2, 1.0, 1)),
+        (degeneracy_bound, (1, 2, 1, True)),
+        (biclique_value_bound, (2, 3.0)),
+        (biclique_value_bound, (True, 3)),
+        (k3t_total_bound, (2, 3, 2.0)),
+        (k3t_total_bound, (2, 3, True)),
+    ],
+    ids=lambda v: v.__name__ if callable(v) else repr(v),
+)
+def test_integer_parameters_refuse_bool_and_float(fn, args):
+    with pytest.raises(ValueError, match="must be an int"):
+        fn(*args)
+
+
 def _violations(entry, filters, n_max):
     """graph6 of every graph of the exhaustive corpus on 1..n_max vertices
     under ``filters`` whose chi breaks the entry's relation."""

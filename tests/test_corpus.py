@@ -402,7 +402,7 @@ class TestExhaustiveEnumeration:
         with pytest.raises(CapExceeded):
             list(enumerate_graphs(CorpusSpec("exhaustive", 1, 11)))
         with pytest.raises(ValueError, match="dedup"):
-            list(enumerate_graphs(CorpusSpec("exhaustive", 1, 5, dedup=False)))
+            list(enumerate_graphs(CorpusSpec("exhaustive", 1, 5, dedup=True)))
 
 
 class TestRandomMode:
@@ -494,7 +494,7 @@ class TestGrammar:
 
     def test_corpus_exact(self):
         spec = parse_corpus_spec("exhaustive:n=4")
-        assert spec.n_min == spec.n_max == 4 and spec.dedup
+        assert spec.n_min == spec.n_max == 4 and not spec.dedup
 
     def test_corpus_range_with_filters(self):
         spec = parse_corpus_spec(
@@ -519,16 +519,23 @@ class TestGrammar:
             assert str(spec) == text
             assert parse_corpus_spec(str(spec)) == spec
 
+    def test_omitted_random_fields_take_the_spec_defaults(self):
+        spec = parse_corpus_spec("random:n=5")
+        assert spec == CorpusSpec("random", 5, 5)
+        assert str(spec) == str(CorpusSpec("random", 5, 5))
+
     def test_random_mode_takes_one_n(self):
         with pytest.raises(ValueError, match="one vertex count"):
             CorpusSpec("random", 1, 8, count=2)
+        with pytest.raises(ValueError, match="one vertex count"):
+            parse_corpus_spec("random:n=5..6")
         spec = CorpusSpec("random", 8, 8, count=2)
         assert parse_corpus_spec(str(spec)) == spec
         assert [g.n for g in enumerate_graphs(spec)] == [8, 8]
 
     def test_exhaustive_mode_takes_no_sampling_fields(self):
         # such a spec would print as plain exhaustive and not parse back to itself
-        for extra in [dict(count=5), dict(seed=3), dict(edge_prob=0.2)]:
+        for extra in [dict(count=5), dict(seed=3), dict(edge_prob=0.2), dict(dedup=True)]:
             with pytest.raises(ValueError, match="exhaustive mode takes no"):
                 CorpusSpec("exhaustive", 1, 3, **extra)
         # nor would a field of the wrong type, in either mode
@@ -546,11 +553,11 @@ class TestGrammar:
         assert parse_corpus_spec(str(spec)) == spec
 
     def test_filter_builds_its_patterns(self):
-        # a pattern that cannot be built is refused when the filter is made,
-        # and one with a parameter that is not an int when the pattern is
+        # a pattern that cannot be built is refused when its spec is made,
+        # before any filter holds it
         for kind, params, match in [
             ("foo", (), "unknown pattern kind"),
-            ("path", (("k", 0),), "requires k >= 1"),
+            ("path", (("k", 0),), "k must be an int >= 1"),
             ("path", (("n", 4),), "takes parameters"),
             ("path", (("k", True),), "k must be an int"),
             ("path", (("k", 2.0),), "k must be an int"),

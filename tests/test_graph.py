@@ -55,6 +55,13 @@ class TestBuildGraph:
         with pytest.raises(ValueError):
             build_graph(3, [(0, 3)])
 
+    @pytest.mark.parametrize(
+        "n, edges", [(True, []), (3.0, []), (3, [(True, 2)]), (3, [(0, 1.0)]), (3, [(1, False)])]
+    )
+    def test_non_int_count_or_id_rejected(self, n, edges):
+        with pytest.raises(ValueError):
+            build_graph(n, edges)
+
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):
             build_graph(3, [(1, 1)])

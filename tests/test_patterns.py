@@ -119,27 +119,28 @@ class TestConstructors:
                 assert g.degree(v) == zeta + 1  # parent plus zeta children
 
     def test_parameter_validation(self):
-        for bad in [
-            PatternSpec.broom(0, 1),
-            PatternSpec.broom(1, 0),
-            PatternSpec.flag(0),
-            PatternSpec.bplus(1, 2, 3),
-            PatternSpec.bplus(2, 1, 3),
-            PatternSpec.bplus(2, 2, 2),
-            PatternSpec.cycle(2),
-            PatternSpec.uniform_tree(1, 1),
+        # a spec below a parameter's minimum is refused when it is made
+        for make, args in [
+            (PatternSpec.broom, (0, 1)),
+            (PatternSpec.broom, (1, 0)),
+            (PatternSpec.flag, (0,)),
+            (PatternSpec.bplus, (1, 2, 3)),
+            (PatternSpec.bplus, (2, 1, 3)),
+            (PatternSpec.bplus, (2, 2, 2)),
+            (PatternSpec.cycle, (2,)),
+            (PatternSpec.uniform_tree, (1, 1)),
         ]:
-            with pytest.raises(ValueError):
-                make_pattern(bad)
+            with pytest.raises(ValueError, match="must be an int >="):
+                make(*args)
         # hand-built specs must carry exactly the kind's parameter names
-        for bad in [
-            PatternSpec("path", ()),
-            PatternSpec("path", (("k", 4), ("z", 9))),
-            PatternSpec("broom", (("t", 2),)),
-            PatternSpec("broom", (("k", 2), ("t", 2))),
+        for kind, params in [
+            ("path", ()),
+            ("path", (("k", 4), ("z", 9))),
+            ("broom", (("t", 2),)),
+            ("broom", (("k", 2), ("t", 2))),
         ]:
             with pytest.raises(ValueError, match="takes parameters"):
-                make_pattern(bad)
+                PatternSpec(kind, params)
 
 
 class TestFindInduced:
