@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .graph import CapExceeded, Graph, _is_int, build_graph, iter_bits
 from .patterns import (
@@ -115,45 +115,63 @@ def canonical_key(g: Graph) -> tuple[int, tuple[int, ...]]:
     over all vertex orderings, in graph6 column order.
 
     One depth-first search over orderings, minimising column by column.
-    ``col`` maps each unplaced vertex to its column against the placed
-    prefix, first-placed vertex most significant; placing u shifts in
-    one bit per remaining vertex, so a node costs O(n).  Only the
-    vertices with the least column can extend a minimal ordering, and a
-    prefix whose columns already exceed the best key's is dropped.
-    Position 0 is the empty column, 0 for every vertex, so one call from
-    the empty prefix covers every first vertex; the key leaves that
-    column out.
+    An unplaced vertex's column against the placed prefix has one bit
+    per placed vertex, first-placed most significant.  The search holds
+    the columns as bit-planes, one per placed vertex: ``planes[i]`` masks
+    the i-th placed vertex's neighbors among the vertices unplaced when
+    it was placed, so bit w of it is bit i of w's column, and
+    ``remaining`` masks the unplaced vertices.  One pass over the planes,
+    most significant first, gives the least column and the vertices that
+    reach it: ``ties`` starts as ``remaining``, and each plane keeps the
+    tied vertices with a 0 there when there are any, and otherwise puts
+    a 1 in the column.  A node costs O(depth) int operations and one new
+    tuple.  Only the vertices with the least column can extend a minimal
+    ordering, and a prefix whose columns already exceed the best key's
+    is dropped.  Position 0 is the empty column, 0 for every vertex, so
+    one call from the empty prefix covers every first vertex; the key
+    leaves that column out.
 
-    Of two tied candidates, the second is skipped when the two are twins
-    in g: their rows are equal (open twins) or become equal with their
-    own bits added (closed twins).  Swapping twins is an automorphism
-    that fixes every other vertex, the placed prefix included, so the
-    second subtree repeats the first's keys.
+    Of two tied candidates, taken in ascending id order, the second is
+    skipped when the two are twins in g: their rows are equal (open
+    twins) or become equal with their own bits added (closed twins).
+    Swapping twins is an automorphism that fixes every other vertex, the
+    placed prefix included, so the second subtree repeats the first's
+    keys.
+
+    The planes carry exactly the bits of the unplaced vertices' columns,
+    so every node yields the least column and its tied vertices that a
+    dict of columns would: the search visits the same nodes in the same
+    order and finds the same key.
     """
     n, adj = g.n, g.adj
     best = (1 << n,)  # above every key; the first leaf replaces it
 
-    def descend(col: dict[int, int], cols: tuple[int, ...]) -> None:
+    def descend(planes: tuple[int, ...], remaining: int, cols: tuple[int, ...]) -> None:
         nonlocal best
-        if not col:
+        if not remaining:
             best = cols  # not above best, or it would have been dropped
             return
-        low = min(col.values())
+        ties, low = remaining, 0
+        for plane in planes:
+            zeros = ties & ~plane
+            if zeros:
+                ties, low = zeros, low << 1
+            else:
+                low = low << 1 | 1
         cols += (low,)
         if cols > best[: len(cols)]:
             return
         open_rows, closed_rows = set(), set()
-        for u, c in col.items():
-            if c != low:
-                continue
+        for u in iter_bits(ties):
             row, closed = adj[u], adj[u] | 1 << u
             if row in open_rows or closed in closed_rows:
                 continue
             open_rows.add(row)
             closed_rows.add(closed)
-            descend({w: cw << 1 | adj[w] >> u & 1 for w, cw in col.items() if w != u}, cols)
+            rest = remaining & ~(1 << u)
+            descend(planes + (row & rest,), rest, cols)
 
-    descend(dict.fromkeys(range(n), 0), ())
+    descend((), (1 << n) - 1, ())
     return (n, best[1:])
 
 
@@ -192,6 +210,8 @@ class PatternFilter:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "family", tuple(self.family))
+        if not all(isinstance(spec, PatternSpec) for spec in self.family):
+            raise ValueError(f"a filter family holds PatternSpecs, got {self.family}")
         if len(self.family) != 1 and self._class_h_p() is None:
             raise ValueError(f"a filter is one pattern or class H, got {self.family}")
 
@@ -410,22 +430,32 @@ def parse_pattern(text: str) -> PatternSpec:
         raise ValueError(f"unknown pattern kind {kind!r}")
     names = PATTERN_KINDS[kind][0]
     params = _parse_params(rest, names, text)
-    return PatternSpec(kind, tuple((name, int(params[name])) for name in names))
+    return PatternSpec(kind, tuple((name, _read(int, name, params[name], text)) for name in names))
 
 
-def _read_flag(text: str) -> bool:
-    if text not in ("0", "1"):
-        raise ValueError(f"dedup must be 0 or 1, got {text!r}")
-    return text == "1"
+_VALUE_NOUNS = {int: "an int", float: "a number", bool: "0 or 1"}
+_FLAGS = {"0": False, "1": True}
 
 
-# Random mode's optional grammar keys: key -> (CorpusSpec field, reader of
-# the value text).  Exhaustive mode takes none of them.
-_RANDOM_KEYS: dict[str, tuple[str, Callable[[str], object]]] = {
+def _read(kind: type, key: str, text: str, context: str) -> int | float | bool:
+    """The value text of ``key`` as an int, a float or a 0/1 flag; any
+    other text raises ``ValueError`` naming the key and quoting
+    ``context``, the spec being read."""
+    try:
+        return _FLAGS[text] if kind is bool else kind(text)
+    except (KeyError, ValueError):
+        raise ValueError(
+            f"{key} must be {_VALUE_NOUNS[kind]}, got {text!r} in {context!r}"
+        ) from None
+
+
+# Random mode's optional grammar keys: key -> (CorpusSpec field, value
+# type).  Exhaustive mode takes none of them.
+_RANDOM_KEYS: dict[str, tuple[str, type]] = {
     "p": ("edge_prob", float),
     "count": ("count", int),
     "seed": ("seed", int),
-    "dedup": ("dedup", _read_flag),
+    "dedup": ("dedup", bool),
 }
 
 
@@ -455,10 +485,14 @@ def parse_corpus_spec(text: str) -> CorpusSpec:
         rest = head.rstrip(",")
     fields = _parse_params(rest, ("n",), text, tuple(_RANDOM_KEYS) if mode == "random" else ())
     lo, dots, hi = fields.pop("n").partition("..")
+    n_min = _read(int, "n", lo, text)
+    n_max = _read(int, "n", hi, text) if dots else n_min
     given = {
-        field: read(fields[key]) for key, (field, read) in _RANDOM_KEYS.items() if key in fields
+        field: _read(kind, key, fields[key], text)
+        for key, (field, kind) in _RANDOM_KEYS.items()
+        if key in fields
     }
-    return CorpusSpec(mode, int(lo), int(hi) if dots else int(lo), filters=filters, **given)
+    return CorpusSpec(mode, n_min, n_max, filters=filters, **given)
 
 
 def _parse_filters(text: str) -> tuple[PatternFilter, ...]:
@@ -475,7 +509,7 @@ def _parse_filters(text: str) -> tuple[PatternFilter, ...]:
         head, _, rest = chunk.partition(":")
         head = head.lower()
         if head == "h":
-            p = int(_parse_params(rest, ("p",), chunk)["p"])
+            p = _read(int, "p", _parse_params(rest, ("p",), chunk)["p"], chunk)
             out.append(PatternFilter(family=c4_flag_family(p), induced=True))
         elif head == "free":
             out.append(PatternFilter(family=(parse_pattern(rest),), induced=True))

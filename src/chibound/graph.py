@@ -32,6 +32,13 @@ def _require_ints(**checks: tuple[object, int]) -> None:
             raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
 
 
+def _on_graph(g: Graph, vertices: Iterable[object]) -> bool:
+    """Whether every item is a vertex id of ``g``: an int, not a bool, in
+    ``range(g.n)``.  Validators reject anything else instead of indexing
+    ``adj`` with it."""
+    return all(_is_int(v) and 0 <= v < g.n for v in vertices)
+
+
 def iter_bits(mask: int) -> list[int]:
     """The set bit positions of ``mask`` in ascending order."""
     out = []
@@ -164,11 +171,13 @@ def induced(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     """Induced subgraph on ``vertices``, relabeled to 0..k-1.
 
     Returns ``(subgraph, vmap)`` where ``vmap[i]`` is the host vertex that
-    new vertex ``i`` came from (ascending host order).
+    new vertex ``i`` came from (ascending host order).  Raises
+    ``ValueError`` on an item that is not a vertex id of ``g``.
     """
+    vertices = list(vertices)
+    if not _on_graph(g, vertices):
+        raise ValueError(f"vertices {vertices!r} are not all ints in range({g.n})")
     vs = sorted(set(vertices))
-    if vs and not (0 <= vs[0] and vs[-1] < g.n):
-        raise ValueError("vertices out of range")
     index = {v: i for i, v in enumerate(vs)}
     adj = [0] * len(vs)
     for i, v in enumerate(vs):

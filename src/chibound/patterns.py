@@ -14,7 +14,15 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterable
 
-from .graph import Graph, _core_mask, _require_ints, build_graph, components_masks, iter_bits
+from .graph import (
+    Graph,
+    _core_mask,
+    _on_graph,
+    _require_ints,
+    build_graph,
+    components_masks,
+    iter_bits,
+)
 
 
 @dataclass(frozen=True)
@@ -194,9 +202,7 @@ def make_pattern(spec: PatternSpec) -> Graph:
 def validate_occurrence(g: Graph, h: Graph, occ: Occurrence) -> bool:
     """Re-check that ``occ`` maps ``h`` into ``g`` correctly."""
     m = occ.mapping
-    if len(m) != h.n or len(set(m)) != h.n:
-        return False
-    if any(not 0 <= v < g.n for v in m):
+    if len(m) != h.n or not _on_graph(g, m) or len(set(m)) != h.n:
         return False
     for i in range(h.n):
         for j in range(i + 1, h.n):

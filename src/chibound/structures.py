@@ -12,13 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, product
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .graph import (
     CapExceeded,
     Graph,
     _core_mask,
     _is_int,
+    _on_graph,
     _require_ints,
     _t_connected_mask,
     bfs_layers,
@@ -274,7 +275,7 @@ def _connected_bodies(g: Graph, base: int, tip: int, t: int) -> list[int]:
 def validate_balloon(g: Graph, b: Balloon) -> bool:
     """Re-check every defining condition of a balloon, independent of the enumerator."""
     p = len(b.path)
-    if p < 1 or b.t < 1 or len(set(b.path)) != p or not _on_graph(g, (*b.path, *b.body, *b.z_set)):
+    if p < 1 or b.t < 1 or not _on_graph(g, (*b.path, *b.body, *b.z_set)) or len(set(b.path)) != p:
         return False
     # induced path
     for i in range(p):
@@ -300,12 +301,6 @@ def validate_balloon(g: Graph, b: Balloon) -> bool:
     if z != set(b.z_set):
         return False
     return chi_of_subset(g, z) == b.value
-
-
-def _on_graph(g: Graph, vertices: Iterable[int]) -> bool:
-    """Whether every id is a vertex of ``g``, so that a validator rejects
-    an id outside ``range(g.n)`` instead of indexing ``adj`` with it."""
-    return all(v in range(g.n) for v in vertices)
 
 
 def _far_region(g: Graph, b: Balloon) -> tuple[list[int], int, int]:
@@ -558,8 +553,7 @@ def build_class_l_case1(
     complete to the clique F; B2 is a path f-u with f adjacent to all of
     X.  Built to stay {P6, (2,2)-broom}-free for every parameter choice.
     """
-    if clique_size < 2 or x_size < 1 or attach_count < 1:
-        raise ValueError("need clique_size >= 2, x_size >= 1, attach_count >= 1")
+    _require_ints(clique_size=(clique_size, 2), x_size=(x_size, 1), attach_count=(attach_count, 1))
     edges = []
     x_vertices = list(range(x_size))  # vertex 0 is v
     ys = list(range(x_size, x_size + attach_count))
@@ -586,10 +580,11 @@ def build_class_l_case2(
     not w, F a clique complete to the y's, w tethered to F directly,
     and a second component {f} joined to both cutset vertices.
     """
-    if clique_size < 2 or attach_count < 1 or not 1 <= tether_count <= clique_size:
-        raise ValueError(
-            "need clique_size >= 2, attach_count >= 1, 1 <= tether_count <= clique_size"
-        )
+    _require_ints(
+        clique_size=(clique_size, 2), attach_count=(attach_count, 1), tether_count=(tether_count, 1)
+    )
+    if tether_count > clique_size:
+        raise ValueError(f"tether_count must be at most clique_size, got {tether_count} > {clique_size}")
     v, w = 0, 1
     ys = list(range(2, 2 + attach_count))
     f_start = 2 + attach_count

@@ -89,6 +89,11 @@ def to_networkx(g: Graph) -> nx.Graph:
     return out
 
 
+def from_networkx(x: nx.Graph) -> Graph:
+    x = nx.convert_node_labels_to_integers(x)
+    return build_graph(x.number_of_nodes(), list(x.edges()))
+
+
 def adjacency_matrix(g: Graph) -> np.ndarray:
     a = np.zeros((g.n, g.n), dtype=bool)
     for u, v in g.edges():

@@ -20,11 +20,12 @@ from chibound.corpus import (
     read_graph6,
     write_graph6,
 )
-from chibound.patterns import PATTERN_KINDS, PatternSpec, c4_flag_family
+from chibound.patterns import PATTERN_KINDS, PatternSpec, c4_flag_family, make_pattern
 
 from helpers import (
     complete_graph,
     cycle_graph,
+    from_networkx,
     graphs,
     path_graph,
     petersen_graph,
@@ -149,6 +150,17 @@ def brute_canonical_key(g):
     return (g.n, best if best is not None else ())
 
 
+TWIN_FREE_VERTEX_TRANSITIVE_PAIRS = {
+    "petersen-prism": (nx.petersen_graph(), nx.circular_ladder_graph(5)),
+    "c10-2c5": (nx.cycle_graph(10), nx.disjoint_union(nx.cycle_graph(5), nx.cycle_graph(5))),
+    "c9-3c3": (nx.cycle_graph(9), nx.disjoint_union_all([nx.cycle_graph(3)] * 3)),
+    "k3k3-circulant": (
+        nx.cartesian_product(nx.complete_graph(3), nx.complete_graph(3)),
+        nx.circulant_graph(9, [1, 2]),
+    ),
+}
+
+
 class TestCanonicalForm:
     def test_matches_brute_force(self):
         rng = random.Random(313)
@@ -223,6 +235,23 @@ class TestCanonicalForm:
                 g.edges(),
                 h.edges(),
             )
+
+    @pytest.mark.parametrize("name", sorted(TWIN_FREE_VERTEX_TRANSITIVE_PAIRS))
+    def test_vertex_transitive_twin_free_pairs(self, name):
+        # in g every vertex ties at every level and no twin skip fires,
+        # past brute-force reach; each pair shares order, size and degrees
+        g, h = (from_networkx(x) for x in TWIN_FREE_VERTEX_TRANSITIVE_PAIRS[name])
+        rows = [g.adj[v] for v in range(g.n)] + [g.adj[v] | 1 << v for v in range(g.n)]
+        assert len(set(rows)) == 2 * g.n  # twin-free
+        assert sorted(map(g.degree, range(g.n))) == sorted(map(h.degree, range(h.n)))
+        rng = random.Random(name)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        shuffled = build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+        assert nx.is_isomorphic(to_networkx(g), to_networkx(shuffled))
+        assert not nx.is_isomorphic(to_networkx(g), to_networkx(h))
+        assert canonical_key(shuffled) == canonical_key(g)
+        assert canonical_key(g) != canonical_key(h)
 
 
 def split(n: int, parts: int, rng: random.Random) -> list[int]:
@@ -583,6 +612,13 @@ class TestGrammar:
         spec = CorpusSpec("exhaustive", 1, 4, filters=(flt,))
         assert parse_corpus_spec(str(spec)) == spec
 
+    @pytest.mark.parametrize(
+        "item", ["path", make_pattern(PatternSpec.path(4)), None, ("path", 4)], ids=repr
+    )
+    def test_filter_family_holds_pattern_specs(self, item):
+        with pytest.raises(ValueError, match="holds PatternSpecs"):
+            PatternFilter(family=(item,), induced=True)
+
     def test_filter_and_spec_sequences_become_tuples(self):
         for family in ([PatternSpec.path(4)], list(c4_flag_family(2))):
             flt = PatternFilter(family=family, induced=True)
@@ -633,3 +669,26 @@ class TestGrammar:
     def test_corpus_rejects_unreadable(self, text):
         with pytest.raises(ValueError):
             parse_corpus_spec(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("exhaustive:n=4..", "n must be an int, got '' in 'exhaustive:n=4..'"),
+            ("exhaustive:n=2.5..4", "n must be an int, got '2.5' in 'exhaustive:n=2.5..4'"),
+            ("random:n=8,count=1.5", "count must be an int, got '1.5' in 'random:n=8,count=1.5'"),
+            ("random:n=8,seed=0x7", "seed must be an int, got '0x7' in 'random:n=8,seed=0x7'"),
+            ("random:n=8,p=half", "p must be a number, got 'half' in 'random:n=8,p=half'"),
+            ("random:n=8,dedup=yes", "dedup must be 0 or 1, got 'yes' in 'random:n=8,dedup=yes'"),
+            ("exhaustive:n=4,filters=H:p=two", "p must be an int, got 'two' in 'H:p=two'"),
+            (
+                "exhaustive:n=4,filters=free:path:k=4.0",
+                "k must be an int, got '4.0' in 'path:k=4.0'",
+            ),
+        ],
+    )
+    def test_unreadable_value_names_its_key_and_spec(self, text, message):
+        # one reader takes every value in the grammar: its message names
+        # the key and quotes the spec or filter being read
+        with pytest.raises(ValueError) as caught:
+            parse_corpus_spec(text)
+        assert str(caught.value) == message

@@ -18,7 +18,14 @@ from chibound.graph import (
     is_t_connected,
     mask_of,
 )
-from chibound.patterns import PatternSpec, find_induced, is_family_free, make_pattern
+from chibound.patterns import (
+    Occurrence,
+    PatternSpec,
+    find_induced,
+    is_family_free,
+    make_pattern,
+    validate_occurrence,
+)
 from chibound.solvers import chi_of_subset, chromatic_number, clique_number
 from chibound.structures import (
     Balloon,
@@ -635,6 +642,56 @@ class TestClassF:
 def test_integer_parameters_refuse_bool_and_float(fn, args):
     with pytest.raises(ValueError, match="must be an int|must be ints|not an int"):
         fn(cycle_graph(5), *args)
+
+
+@pytest.mark.parametrize(
+    "build, args",
+    [
+        (build_class_l_case1, (2.0,)),
+        (build_class_l_case1, (3, True)),
+        (build_class_l_case1, (3, 1, 1.0)),
+        (build_class_l_case2, (3.0,)),
+        (build_class_l_case2, (3, True, 1)),
+        (build_class_l_case2, (3, 1, 1.5)),
+        (build_class_l_case2, (3, 1, 4)),  # more tethers than clique vertices
+    ],
+    ids=lambda v: v.__name__ if callable(v) else repr(v),
+)
+def test_class_l_builders_refuse_bool_and_float(build, args):
+    with pytest.raises(ValueError, match="must be"):
+        build(*args)
+
+
+_C5 = cycle_graph(5)
+
+# Each check passes on vertex 1 of C5: an edge 1-2, the balloon with path
+# (1,) and body {1, 2}, the biclique {1} x {0, 2}, the induced edge 1-2.
+VERTEX_ID_CHECKS = {
+    "validate_occurrence": lambda v: validate_occurrence(
+        _C5, path_graph(2), Occurrence((v, 2), induced=False)
+    ),
+    "validate_balloon": lambda v: validate_balloon(
+        _C5, Balloon((v,), frozenset({v, 2}), frozenset({v}), 1, 1)
+    ),
+    "validate_biclique": lambda v: validate_biclique(
+        _C5, Biclique(frozenset({v}), frozenset({0, 2}), 1)
+    ),
+    "induced": lambda v: induced(_C5, [v, 2])[1] == (1, 2),
+}
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1", None, -1, 5], ids=repr)
+@pytest.mark.parametrize("name", sorted(VERTEX_ID_CHECKS))
+def test_vertex_ids_are_ints_in_range(name, bad):
+    # a vertex id is an int, not a bool, in range(n): validators return
+    # False on anything else, and induced raises ValueError
+    check = VERTEX_ID_CHECKS[name]
+    assert check(1)
+    if name == "induced":
+        with pytest.raises(ValueError, match="not all ints in range"):
+            check(bad)
+    else:
+        assert check(bad) is False
 
 
 class TestConstructedInstancesAreClean:
