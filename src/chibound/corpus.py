@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graph import CapExceeded, Graph, _is_int, build_graph, iter_bits
+from .graph import CapExceeded, Graph, _is_int, _require_ints, build_graph, iter_bits
 from .patterns import (
     PATTERN_KINDS,
     PatternSpec,
@@ -103,7 +103,7 @@ def read_graph6(text: str) -> Graph:
             low = row & -row
             adj[low.bit_length() - 1] |= bit
             row ^= low
-    return Graph(n, tuple(adj))
+    return Graph(tuple(adj))
 
 
 # ---------------------------------------------------------------------------
@@ -137,11 +137,6 @@ def canonical_key(g: Graph) -> tuple[int, tuple[int, ...]]:
     Swapping twins is an automorphism that fixes every other vertex, the
     placed prefix included, so the second subtree repeats the first's
     keys.
-
-    The planes carry exactly the bits of the unplaced vertices' columns,
-    so every node yields the least column and its tied vertices that a
-    dict of columns would: the search visits the same nodes in the same
-    order and finds the same key.
     """
     n, adj = g.n, g.adj
     best = (1 << n,)  # above every key; the first leaf replaces it
@@ -210,6 +205,8 @@ class PatternFilter:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "family", tuple(self.family))
+        if not isinstance(self.induced, bool):
+            raise ValueError(f"induced must be a bool, got {self.induced!r}")
         if not all(isinstance(spec, PatternSpec) for spec in self.family):
             raise ValueError(f"a filter family holds PatternSpecs, got {self.family}")
         if len(self.family) != 1 and self._class_h_p() is None:
@@ -218,8 +215,8 @@ class PatternFilter:
     def _class_h_p(self) -> int | None:
         """p when this filter is class H (induced C4 and p-flag), else None."""
         if self.induced and len(self.family) == 2:
-            p = dict(self.family[1].params).get("p")
-            if p is not None and self.family == c4_flag_family(p):
+            p = self.family[1].values[0]
+            if self.family == c4_flag_family(p):
                 return p
         return None
 
@@ -231,10 +228,7 @@ class PatternFilter:
         """Membership check for a one-vertex extension of a known member:
         any new occurrence must use the new vertex."""
         for spec in self.family:
-            h = make_pattern(spec)
-            if h.n > g.n:
-                continue
-            if occurs_with_vertex(g, h, new_vertex, induced=self.induced):
+            if occurs_with_vertex(g, make_pattern(spec), new_vertex, induced=self.induced):
                 return False
         return True
 
@@ -242,7 +236,7 @@ class PatternFilter:
         p = self._class_h_p()
         if p is not None:
             return f"H:p={p}"
-        return f"{'free' if self.induced else 'nosub'}:{self.family[0]}"
+        return f"{_FILTER_WORDS[self.induced]}:{self.family[0]}"
 
 
 @dataclass(frozen=True)
@@ -274,28 +268,25 @@ class CorpusSpec:
         if self.mode not in ("exhaustive", "random"):
             raise ValueError(f"unknown corpus mode {self.mode!r}")
         # a field of another type would print a spec that does not parse back
-        for name in ("n_min", "n_max", "count", "seed"):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ValueError(f"{name} must be an int, got {value!r}")
+        _require_ints(n_min=(self.n_min, 1), n_max=(self.n_max, self.n_min), count=(self.count, 0))
+        if not _is_int(self.seed):
+            raise ValueError(f"seed must be an int, got {self.seed!r}")
         if not (_is_int(self.edge_prob) or isinstance(self.edge_prob, float)):
             raise ValueError(f"edge probability must be a number, got {self.edge_prob!r}")
-        if not isinstance(self.dedup, bool):
-            raise ValueError(f"dedup must be a bool, got {self.dedup!r}")
-        if not 1 <= self.n_min <= self.n_max:
-            raise ValueError(f"need 1 <= n_min <= n_max, got {self.n_min}..{self.n_max}")
         if not 0 <= self.edge_prob <= 1:
             raise ValueError(f"edge probability must lie in [0, 1], got {self.edge_prob}")
-        if self.count < 0:
-            raise ValueError(f"count must be nonnegative, got {self.count}")
-        sampling = ("edge_prob", "count", "seed", "dedup")
-        if self.mode == "exhaustive" and any(
-            getattr(self, name) != getattr(CorpusSpec, name) for name in sampling
-        ):
-            raise ValueError(
-                "exhaustive mode takes no edge probability, count, seed or dedup, got "
-                f"p={self.edge_prob}, count={self.count}, seed={self.seed}, dedup={self.dedup}"
-            )
+        if not isinstance(self.dedup, bool):
+            raise ValueError(f"dedup must be a bool, got {self.dedup!r}")
+        if not all(isinstance(f, PatternFilter) for f in self.filters):
+            raise ValueError(f"corpus filters are PatternFilters, got {self.filters}")
+        if self.mode == "exhaustive":
+            off = {
+                key: getattr(self, field)
+                for key, (field, _) in _RANDOM_KEYS.items()
+                if getattr(self, field) != getattr(CorpusSpec, field)
+            }
+            if off:
+                raise ValueError(f"exhaustive mode takes no {'/'.join(_RANDOM_KEYS)}, got {off}")
         if self.mode == "random" and self.n_min != self.n_max:
             raise ValueError(
                 f"random mode samples one vertex count, got {self.n_min}..{self.n_max}"
@@ -364,7 +355,7 @@ def _enumerate_exhaustive(spec: CorpusSpec) -> Iterator[Graph]:
     """
     if spec.n_max > EXHAUSTIVE_MAX_N:
         raise CapExceeded(f"exhaustive mode supported up to n = {EXHAUSTIVE_MAX_N}")
-    level: dict[tuple, Graph] = {(0, ()): Graph(0, ())}
+    level: dict[tuple, Graph] = {(0, ()): Graph(())}
     for n in range(1, spec.n_max + 1):
         nxt: dict[tuple, Graph] = {}
         for parent in level.values():
@@ -372,7 +363,7 @@ def _enumerate_exhaustive(spec: CorpusSpec) -> Iterator[Graph]:
                 adj = list(parent.adj) + [mask]
                 for v in iter_bits(mask):
                     adj[v] |= 1 << (n - 1)
-                child = Graph(n, tuple(adj))
+                child = Graph(tuple(adj))
                 if not all(
                     f.admits_extension(child, n - 1) for f in spec.filters
                 ):
@@ -430,7 +421,7 @@ def parse_pattern(text: str) -> PatternSpec:
         raise ValueError(f"unknown pattern kind {kind!r}")
     names = PATTERN_KINDS[kind][0]
     params = _parse_params(rest, names, text)
-    return PatternSpec(kind, tuple((name, _read(int, name, params[name], text)) for name in names))
+    return PatternSpec(kind, tuple(_read(int, name, params[name], text) for name in names))
 
 
 _VALUE_NOUNS = {int: "an int", float: "a number", bool: "0 or 1"}
@@ -495,6 +486,10 @@ def parse_corpus_spec(text: str) -> CorpusSpec:
     return CorpusSpec(mode, n_min, n_max, filters=filters, **given)
 
 
+# The grammar word of a one-pattern filter, indexed by its induced flag.
+_FILTER_WORDS = ("nosub", "free")
+
+
 def _parse_filters(text: str) -> tuple[PatternFilter, ...]:
     """Filters are joined by "+": "H:p=2", "free:<pattern>", "nosub:<pattern>".
 
@@ -511,10 +506,9 @@ def _parse_filters(text: str) -> tuple[PatternFilter, ...]:
         if head == "h":
             p = _read(int, "p", _parse_params(rest, ("p",), chunk)["p"], chunk)
             out.append(PatternFilter(family=c4_flag_family(p), induced=True))
-        elif head == "free":
-            out.append(PatternFilter(family=(parse_pattern(rest),), induced=True))
-        elif head == "nosub":
-            out.append(PatternFilter(family=(parse_pattern(rest),), induced=False))
+        elif head in _FILTER_WORDS:
+            induced = bool(_FILTER_WORDS.index(head))
+            out.append(PatternFilter(family=(parse_pattern(rest),), induced=induced))
         else:
             raise ValueError(f"unknown filter {chunk!r}")
     return tuple(out)

@@ -20,21 +20,21 @@ class CapExceeded(RuntimeError):
 
 
 def _is_int(value: object) -> bool:
-    """Whether ``value`` is an int and not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    """Whether ``value`` is exactly an int: no bool, ``IntEnum`` or other subclass."""
+    return type(value) is int
 
 
 def _require_ints(**checks: tuple[object, int]) -> None:
     """Raise ``ValueError`` unless each ``name=(value, least)`` holds an
-    int, not a bool, that is at least ``least``."""
+    int (:func:`_is_int`) that is at least ``least``."""
     for name, (value, least) in checks.items():
         if not _is_int(value) or value < least:
             raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
 
 
 def _on_graph(g: Graph, vertices: Iterable[object]) -> bool:
-    """Whether every item is a vertex id of ``g``: an int, not a bool, in
-    ``range(g.n)``.  Validators reject anything else instead of indexing
+    """Whether every item is a vertex id of ``g``: an int (:func:`_is_int`)
+    in ``range(g.n)``.  Validators reject anything else instead of indexing
     ``adj`` with it."""
     return all(_is_int(v) and 0 <= v < g.n for v in vertices)
 
@@ -59,7 +59,8 @@ def mask_of(vertices: Iterable[int]) -> int:
 class Graph:
     """Finite simple undirected graph; immutable after construction.
 
-    ``adj[v]`` is the neighbor bitset of ``v``.  Use :func:`build_graph`
+    ``Graph(adj)`` takes the rows alone: ``adj[v]`` is the neighbor
+    bitset of ``v``, and ``n`` is ``len(adj)``.  Use :func:`build_graph`
     to construct from an edge list with validation.
 
     Two values are memoised on first use: ``_hash`` and ``_clique``, the
@@ -71,8 +72,8 @@ class Graph:
 
     __slots__ = ("n", "adj", "_hash", "_clique")
 
-    def __init__(self, n: int, adj: tuple[int, ...]):
-        self.n = n
+    def __init__(self, adj: tuple[int, ...]):
+        self.n = len(adj)
         self.adj = adj
         self._hash = None
         self._clique = None
@@ -108,12 +109,12 @@ class Graph:
     def complement(self) -> "Graph":
         full = self.full_mask()
         adj = tuple((full & ~self.adj[v]) & ~(1 << v) for v in range(self.n))
-        return Graph(self.n, adj)
+        return Graph(adj)
 
     # -- dunder -----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
+        return isinstance(other, Graph) and self.adj == other.adj
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -128,7 +129,7 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph on vertices 0..n-1 from an edge list.
 
     Duplicate edges are merged.  Raises ``ValueError`` on a vertex count
-    or vertex id that is not an int (bools included), out-of-range
+    or vertex id that is not an int (:func:`_is_int`), out-of-range
     vertex ids or self-loops.
     """
     _require_ints(n=(n, 0))
@@ -140,7 +141,7 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise ValueError(f"self-loop at vertex {u}")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    return Graph(n, tuple(adj))
+    return Graph(tuple(adj))
 
 
 def bfs_layers(g: Graph, start: int, within: int) -> list[int]:
@@ -185,7 +186,7 @@ def induced(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
             j = index.get(w)
             if j is not None:
                 adj[i] |= 1 << j
-    return Graph(len(vs), tuple(adj)), tuple(vs)
+    return Graph(tuple(adj)), tuple(vs)
 
 
 def components_masks(g: Graph, within: int) -> list[int]:

@@ -27,10 +27,12 @@ from .graph import (
 
 @dataclass(frozen=True)
 class PatternSpec:
-    """A named pattern with integer parameters, e.g. broom(t=2, k=2)."""
+    """A pattern kind and its integer parameter values, in the order
+    ``PATTERN_KINDS`` names them: ``PatternSpec("broom", (2, 3))`` is
+    broom:t=2,k=3."""
 
     kind: str
-    params: tuple[tuple[str, int], ...]
+    values: tuple[int, ...]
 
     def __post_init__(self) -> None:
         # the one validity check, here and not in the cached make_pattern:
@@ -38,63 +40,63 @@ class PatternSpec:
         if self.kind not in PATTERN_KINDS:
             raise ValueError(f"unknown pattern kind {self.kind!r}")
         names, minimums, _ = PATTERN_KINDS[self.kind]
-        if tuple(name for name, _ in self.params) != names:
-            raise ValueError(f"invalid pattern {self}: {self.kind} takes parameters {names}")
+        if not isinstance(self.values, tuple) or len(self.values) != len(names):
+            raise ValueError(
+                f"{self.kind} takes a tuple of values for {names}, got {self.values!r}"
+            )
         _require_ints(
-            **{name: (value, least) for (name, value), least in zip(self.params, minimums)}
+            **{name: (value, least) for name, value, least in zip(names, self.values, minimums)}
         )
 
     def __str__(self) -> str:
-        if not self.params:
-            return self.kind
-        inner = ",".join(f"{k}={v}" for k, v in self.params)
-        return f"{self.kind}:{inner}"
+        names = PATTERN_KINDS[self.kind][0]
+        return f"{self.kind}:" + ",".join(f"{k}={v}" for k, v in zip(names, self.values))
 
     # convenience constructors ------------------------------------------
 
     @staticmethod
     def path(k: int) -> "PatternSpec":
-        return _spec("path", k)
+        return PatternSpec("path", (k,))
 
     @staticmethod
     def cycle(k: int) -> "PatternSpec":
-        return _spec("cycle", k)
+        return PatternSpec("cycle", (k,))
 
     @staticmethod
     def complete(n: int) -> "PatternSpec":
-        return _spec("complete", n)
+        return PatternSpec("complete", (n,))
 
     @staticmethod
     def star(k: int) -> "PatternSpec":
-        return _spec("star", k)
+        return PatternSpec("star", (k,))
 
     @staticmethod
     def broom(t: int, k: int) -> "PatternSpec":
-        return _spec("broom", t, k)
+        return PatternSpec("broom", (t, k))
 
     @staticmethod
     def flag(p: int) -> "PatternSpec":
-        return _spec("flag", p)
+        return PatternSpec("flag", (p,))
 
     @staticmethod
     def two_arm_star(t: int, p: int) -> "PatternSpec":
-        return _spec("twoarmstar", t, p)
+        return PatternSpec("twoarmstar", (t, p))
 
     @staticmethod
     def bplus(p: int, k: int, t: int) -> "PatternSpec":
-        return _spec("bplus", p, k, t)
+        return PatternSpec("bplus", (p, k, t))
 
     @staticmethod
     def kdt(d: int, t: int) -> "PatternSpec":
-        return _spec("kdt", d, t)
+        return PatternSpec("kdt", (d, t))
 
     @staticmethod
     def biclique(s: int, t: int) -> "PatternSpec":
-        return _spec("biclique", s, t)
+        return PatternSpec("biclique", (s, t))
 
     @staticmethod
     def uniform_tree(zeta: int, eta: int) -> "PatternSpec":
-        return _spec("uniformtree", zeta, eta)
+        return PatternSpec("uniformtree", (zeta, eta))
 
 
 def c4_flag_family(p: int) -> tuple[PatternSpec, PatternSpec]:
@@ -168,8 +170,8 @@ def _biclique(s: int, t: int) -> Graph:
 
 # kind -> (parameter names, the minimum of each parameter, builder taking
 # the parameters in that order).  The table is the single source for the
-# PatternSpec constructors and their validation, make_pattern and
-# parse_pattern.
+# parameter names, which a PatternSpec does not hold, and for its
+# validation, printing, make_pattern and parse_pattern.
 PatternKind = tuple[tuple[str, ...], tuple[int, ...], Callable[..., Graph]]
 PATTERN_KINDS: dict[str, PatternKind] = {
     "path": (("k",), (1,), lambda k: build_graph(k, _chain(range(k)))),
@@ -186,17 +188,13 @@ PATTERN_KINDS: dict[str, PatternKind] = {
 }
 
 
-def _spec(kind: str, *values: int) -> PatternSpec:
-    return PatternSpec(kind, tuple(zip(PATTERN_KINDS[kind][0], values)))
-
-
 @lru_cache(maxsize=None)
 def make_pattern(spec: PatternSpec) -> Graph:
     """Construct the pattern graph for ``spec`` (cached; graphs are immutable).
 
     A ``PatternSpec`` is valid once made, so this only runs the builder.
     """
-    return PATTERN_KINDS[spec.kind][2](*(value for _, value in spec.params))
+    return PATTERN_KINDS[spec.kind][2](*spec.values)
 
 
 def validate_occurrence(g: Graph, h: Graph, occ: Occurrence) -> bool:
@@ -220,8 +218,6 @@ def validate_occurrence(g: Graph, h: Graph, occ: Occurrence) -> bool:
 
 def _pattern_order(h: Graph, first: int | None = None) -> list[int]:
     """Connectivity-first deterministic processing order for pattern vertices."""
-    if h.n == 0:
-        return []
     if first is None:
         first = max(range(h.n), key=lambda v: (h.degree(v), -v))
     order = [first]
@@ -425,8 +421,6 @@ def _find_multipartite_subgraph(g: Graph, sizes: list[int]) -> list[list[int]] |
     """Disjoint, mutually complete vertex sets of the given sizes, which
     come in descending order; the i-th set found has size ``sizes[i]``."""
     total = sum(sizes)
-    if total > g.n:
-        return None
     # a usable vertex sees every part but its own: it lies in the
     # (total - max part)-core
     alive = _core_mask(g, g.full_mask(), total - sizes[0])
@@ -470,8 +464,6 @@ def is_family_free(
         raise ValueError("family must be nonempty")
     for spec in family:
         h = make_pattern(spec)
-        if h.n > g.n:
-            continue
         occ = find_induced(g, h) if induced else find_subgraph(g, h)
         if occ is not None:
             return False, occ

@@ -329,8 +329,6 @@ def enumerate_bicliques(g: Graph, t: int) -> list[Biclique]:
     """
     _require_ints(t=(t, 1))
     out: list[Biclique] = []
-    if g.n < t:
-        return out
     chi_of_common: dict[int, int] = {}
     for combo in combinations(range(g.n), t):
         common = g.full_mask()

@@ -584,16 +584,17 @@ class TestGrammar:
     def test_filter_builds_its_patterns(self):
         # a pattern that cannot be built is refused when its spec is made,
         # before any filter holds it
-        for kind, params, match in [
+        for kind, values, match in [
             ("foo", (), "unknown pattern kind"),
-            ("path", (("k", 0),), "k must be an int >= 1"),
-            ("path", (("n", 4),), "takes parameters"),
-            ("path", (("k", True),), "k must be an int"),
-            ("path", (("k", 2.0),), "k must be an int"),
-            ("path", (("k", "3"),), "k must be an int"),
+            ("path", (0,), "k must be an int >= 1"),
+            ("path", (4, 4), "takes a tuple of values for"),
+            ("bplus", (2, 2, 2), "t must be an int >= 3"),
+            ("path", (True,), "k must be an int"),
+            ("path", (2.0,), "k must be an int"),
+            ("path", ("3",), "k must be an int"),
         ]:
             with pytest.raises(ValueError, match=match):
-                PatternFilter(family=(PatternSpec(kind, params),), induced=True)
+                PatternFilter(family=(PatternSpec(kind, values),), induced=True)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown corpus mode"):
@@ -618,6 +619,18 @@ class TestGrammar:
     def test_filter_family_holds_pattern_specs(self, item):
         with pytest.raises(ValueError, match="holds PatternSpecs"):
             PatternFilter(family=(item,), induced=True)
+
+    @pytest.mark.parametrize(
+        "item", ["free:path:k=4", None, PatternSpec.path(4), (PatternSpec.path(4),)], ids=repr
+    )
+    def test_corpus_filters_are_pattern_filters(self, item):
+        with pytest.raises(ValueError, match="are PatternFilters"):
+            CorpusSpec("exhaustive", 1, 3, filters=(item,))
+
+    @pytest.mark.parametrize("induced", ["no", 1, 0, None], ids=repr)
+    def test_filter_induced_is_a_bool(self, induced):
+        with pytest.raises(ValueError, match="induced must be a bool"):
+            PatternFilter(family=(PatternSpec.path(4),), induced=induced)
 
     def test_filter_and_spec_sequences_become_tuples(self):
         for family in ([PatternSpec.path(4)], list(c4_flag_family(2))):

@@ -1,9 +1,12 @@
 import random
+from enum import IntEnum
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chibound.corpus import CorpusSpec
+from chibound.patterns import Occurrence, PatternSpec, make_pattern, validate_occurrence
 from chibound.graph import (
     _t_connected_mask,
     bfs_layers,
@@ -317,3 +320,35 @@ class TestDegeneracy:
             sum(1 for w in g.neighbors(v) if position[w] > position[v]) for v in order
         ]
         assert max(later, default=0) == d
+
+
+class _One(IntEnum):
+    ONE = 1
+
+
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize("one", [_One.ONE, _Int(1)], ids=["IntEnum", "int subclass"])
+@pytest.mark.parametrize(
+    "boundary",
+    ["build_graph", "PatternSpec", "is_t_connected", "CorpusSpec", "validate_occurrence"],
+)
+def test_int_rule_refuses_int_subclasses(boundary, one):
+    # an int is exactly an int: each boundary takes a plain 1 here
+    edge = build_graph(2, [(0, 1)])
+    point = make_pattern(PatternSpec.path(1))
+    call = {
+        "build_graph": lambda v: build_graph(v, []),
+        "PatternSpec": PatternSpec.path,
+        "is_t_connected": lambda v: is_t_connected(edge, v),
+        "CorpusSpec": lambda v: CorpusSpec("exhaustive", v, 3),
+        "validate_occurrence": lambda v: validate_occurrence(edge, point, Occurrence((v,), True)),
+    }[boundary]
+    assert call(1)
+    if boundary == "validate_occurrence":
+        assert not call(one)
+    else:
+        with pytest.raises(ValueError, match="must be an int"):
+            call(one)

@@ -132,15 +132,19 @@ class TestConstructors:
         ]:
             with pytest.raises(ValueError, match="must be an int >="):
                 make(*args)
-        # hand-built specs must carry exactly the kind's parameter names
-        for kind, params in [
+        # hand-built specs must carry one value per parameter, as a tuple
+        for kind, values in [
             ("path", ()),
-            ("path", (("k", 4), ("z", 9))),
-            ("broom", (("t", 2),)),
-            ("broom", (("k", 2), ("t", 2))),
+            ("path", (4, 9)),
+            ("path", [4]),
+            ("path", 4),
+            ("broom", (2,)),
+            ("bplus", (2, 2)),
         ]:
-            with pytest.raises(ValueError, match="takes parameters"):
-                PatternSpec(kind, params)
+            with pytest.raises(ValueError, match="takes a tuple of values for"):
+                PatternSpec(kind, values)
+        assert PatternSpec("broom", (2, 3)) == PatternSpec.broom(2, 3)
+        assert str(PatternSpec("broom", (2, 3))) == "broom:t=2,k=3"
 
 
 class TestFindInduced:

@@ -400,9 +400,9 @@ class TestCliqueSharing:
                 omega = clique_number(g)
             assert chi[0] > 3  # past the greedy path, so chi needs the clique
             assert searches == [g.full_mask()]
-            fresh = Graph(g.n, g.adj)
+            fresh = Graph(g.adj)
             assert clique_number(fresh) == omega
-            assert chromatic_number(Graph(g.n, g.adj)) == chi
+            assert chromatic_number(Graph(g.adj)) == chi
             searches.clear()
 
     def test_no_search_for_bipartite_chi(self, searches):
