@@ -14,6 +14,7 @@ from typing import Callable
 
 from .corpus import PatternFilter, _parse_filters
 from .graph import Graph, _require_ints, degeneracy
+from .patterns import PatternSpec, _vertex_count
 
 
 def ramsey_upper(s: int, t: int) -> int:
@@ -92,7 +93,7 @@ def biclique_value_bound(p: int, t: int) -> int:
     beyond 10^3226.
     """
     _require_ints(p=(p, 2), t=(t, 3))
-    return 2 + degeneracy_bound(sum(t**i for i in range(p + 1)), t, t, p)
+    return 2 + degeneracy_bound(_vertex_count(PatternSpec.uniform_tree(t, p)), t, t, p)
 
 
 def k3t_total_bound(p: int, t: int, w: int) -> tuple[int, str]:

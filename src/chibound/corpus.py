@@ -17,9 +17,9 @@ from .graph import CapExceeded, Graph, _is_int, _require_ints, build_graph, iter
 from .patterns import (
     PATTERN_KINDS,
     PatternSpec,
+    _fitting,
     c4_flag_family,
     is_family_free,
-    make_pattern,
     occurs_with_vertex,
 )
 
@@ -227,8 +227,8 @@ class PatternFilter:
     def admits_extension(self, g: Graph, new_vertex: int) -> bool:
         """Membership check for a one-vertex extension of a known member:
         any new occurrence must use the new vertex."""
-        for spec in self.family:
-            if occurs_with_vertex(g, make_pattern(spec), new_vertex, induced=self.induced):
+        for h in _fitting(g.n, self.family):
+            if occurs_with_vertex(g, h, new_vertex, induced=self.induced):
                 return False
         return True
 

@@ -207,10 +207,7 @@ def _component_mask(g: Graph, start_mask: int, within: int) -> int:
 
 def is_connected_mask(g: Graph, mask: int) -> bool:
     """True iff the induced subgraph on ``mask`` is connected (empty set counts as connected)."""
-    if mask == 0:
-        return True
-    start = mask & -mask
-    return _component_mask(g, start, mask) == mask
+    return _component_mask(g, mask & -mask, mask) == mask
 
 
 def is_t_connected(g: Graph, t: int) -> bool:

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
-from typing import Callable, Iterable
+from itertools import chain, combinations, pairwise
+from typing import Callable, Iterable, Iterator
 
 from .graph import (
     Graph,
@@ -116,68 +116,74 @@ class Occurrence:
     induced: bool
 
 
-def _chain(vertices: Iterable[int]) -> list[tuple[int, int]]:
-    """Edges of the path through ``vertices`` in the given order."""
-    vs = list(vertices)
-    return list(zip(vs, vs[1:]))
+# A pattern as its vertex count and a lazy edge iterable: the count can be
+# read without building anything.
+_Pattern = tuple[int, Iterable[tuple[int, int]]]
 
 
-def _broom(t: int, k: int) -> Graph:
+def _chain(*runs: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """Edges of the path through the vertices of ``runs``, in order."""
+    return pairwise(chain(*runs))
+
+
+def _star(k: int) -> _Pattern:
+    return k + 1, ((0, i) for i in range(1, k + 1))
+
+
+def _broom(t: int, k: int) -> _Pattern:
     # K_{1,t+1} with one edge subdivided k times: center 0, leaves 1..t,
     # then a path of length k+1 ending at the subdivided leaf.
-    edges = [(0, i) for i in range(1, t + 1)] + _chain([0, *range(t + 1, t + k + 2)])
-    return build_graph(t + k + 2, edges)
+    return t + k + 2, chain(_star(t)[1], _chain((0,), range(t + 1, t + k + 2)))
 
 
-def _flag(p: int) -> Graph:
+def _flag(p: int) -> _Pattern:
     # triangle 0,1,2 plus a path of length p hanging off vertex 0
-    return build_graph(3 + p, [(0, 1), (1, 2), (0, 2)] + _chain([0, *range(3, 3 + p)]))
+    return 3 + p, chain(_chain((0, 1, 2, 0)), _chain((0,), range(3, 3 + p)))
 
 
-def _two_arm_star(t: int, p: int) -> Graph:
+def _two_arm_star(t: int, p: int) -> _Pattern:
     # center 0 with t-4 pendant leaves, an arm of length 4 and an arm of
     # length p
     leaves = t - 4
-    edges = [(0, i) for i in range(1, leaves + 1)]
-    edges += _chain([0, *range(leaves + 1, leaves + 5)])
-    edges += _chain([0, *range(leaves + 5, leaves + 5 + p)])
-    return build_graph(1 + leaves + 4 + p, edges)
+    n = leaves + 5 + p
+    arms = _chain((0,), range(leaves + 1, leaves + 5)), _chain((0,), range(leaves + 5, n))
+    return n, chain(_star(leaves)[1], *arms)
 
 
-def _bplus(p: int, k: int, t: int) -> Graph:
-    # center 0 with t-1 leaves, a path of length p+k, and one extra
-    # pendant at the path vertex at distance k from the center
-    chain = [0, *range(t, t + p + k)]
-    edges = [(0, i) for i in range(1, t)] + _chain(chain) + [(chain[k], t + p + k)]
-    return build_graph(t + p + k + 1, edges)
+def _bplus(p: int, k: int, t: int) -> _Pattern:
+    # center 0 with t-1 leaves, a path 0, t, t+1, .. of length p+k, and one
+    # extra pendant at the path vertex at distance k from the center
+    n = t + p + k + 1
+    return n, chain(_star(t - 1)[1], _chain((0,), range(t, n - 1)), [(t + k - 1, n - 1)])
 
 
-def _kdt(d: int, t: int) -> Graph:
+def _kdt(d: int, t: int) -> _Pattern:
     n = d * t
-    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if u // t != v // t])
+    return n, ((u, v) for u in range(n) for v in range(u + 1, n) if u // t != v // t)
 
 
-def _uniform_tree(zeta: int, eta: int) -> Graph:
+def _uniform_tree(zeta: int, eta: int) -> _Pattern:
     # perfect zeta-ary tree of depth eta, root 0, breadth-first ids: the
     # parent of vertex i >= 1 is (i - 1) // zeta
     n = sum(zeta**i for i in range(eta + 1))
-    return build_graph(n, [((i - 1) // zeta, i) for i in range(1, n)])
+    return n, (((i - 1) // zeta, i) for i in range(1, n))
 
 
-def _biclique(s: int, t: int) -> Graph:
-    return build_graph(s + t, [(i, s + j) for i in range(s) for j in range(t)])
+def _biclique(s: int, t: int) -> _Pattern:
+    return s + t, ((i, s + j) for i in range(s) for j in range(t))
 
 
 # kind -> (parameter names, the minimum of each parameter, builder taking
-# the parameters in that order).  The table is the single source for the
-# parameter names, which a PatternSpec does not hold, and for its
-# validation, printing, make_pattern and parse_pattern.
-PatternKind = tuple[tuple[str, ...], tuple[int, ...], Callable[..., Graph]]
+# the parameters in that order and returning a _Pattern).  The table is
+# the single source for the parameter names, which a PatternSpec does not
+# hold, and for its validation, printing, vertex count, make_pattern and
+# parse_pattern.
+PatternKind = tuple[tuple[str, ...], tuple[int, ...], Callable[..., _Pattern]]
 PATTERN_KINDS: dict[str, PatternKind] = {
-    "path": (("k",), (1,), lambda k: build_graph(k, _chain(range(k)))),
-    "cycle": (("k",), (3,), lambda k: build_graph(k, _chain([*range(k), 0]))),
+    "path": (("k",), (1,), lambda k: (k, _chain(range(k)))),
+    "cycle": (("k",), (3,), lambda k: (k, _chain(range(k), (0,)))),
     "complete": (("n",), (1,), lambda n: _kdt(n, 1)),  # K_n = K_n(1)
-    "star": (("k",), (1,), lambda k: build_graph(k + 1, [(0, i) for i in range(1, k + 1)])),
+    "star": (("k",), (1,), _star),
     "broom": (("t", "k"), (1, 1), _broom),
     "flag": (("p",), (1,), _flag),
     "twoarmstar": (("t", "p"), (5, 1), _two_arm_star),
@@ -188,13 +194,26 @@ PATTERN_KINDS: dict[str, PatternKind] = {
 }
 
 
+def _vertex_count(spec: PatternSpec) -> int:
+    """The number of vertices of ``spec``'s pattern, read without building it."""
+    return PATTERN_KINDS[spec.kind][2](*spec.values)[0]
+
+
 @lru_cache(maxsize=None)
 def make_pattern(spec: PatternSpec) -> Graph:
     """Construct the pattern graph for ``spec`` (cached; graphs are immutable).
 
     A ``PatternSpec`` is valid once made, so this only runs the builder.
     """
-    return PATTERN_KINDS[spec.kind][2](*spec.values)
+    return build_graph(*PATTERN_KINDS[spec.kind][2](*spec.values))
+
+
+@lru_cache(maxsize=256)
+def _fitting(n: int, family: tuple[PatternSpec, ...]) -> tuple[Graph, ...]:
+    """The patterns of ``family`` in order, skipping, unbuilt, each one with
+    more than ``n`` vertices, which cannot occur in an n-vertex graph
+    (cached: the corpus filters ask once per generated graph)."""
+    return tuple(make_pattern(spec) for spec in family if _vertex_count(spec) <= n)
 
 
 def validate_occurrence(g: Graph, h: Graph, occ: Occurrence) -> bool:
@@ -216,40 +235,33 @@ def validate_occurrence(g: Graph, h: Graph, occ: Occurrence) -> bool:
 # Backtracking search
 
 
-def _pattern_order(h: Graph, first: int | None = None) -> list[int]:
-    """Connectivity-first deterministic processing order for pattern vertices."""
-    if first is None:
-        first = max(range(h.n), key=lambda v: (h.degree(v), -v))
-    order = [first]
-    placed = 1 << first
-    while len(order) < h.n:
-        best = None
-        best_key = None
-        for v in range(h.n):
-            if placed >> v & 1:
-                continue
-            key = ((h.adj[v] & placed).bit_count(), h.degree(v), -v)
-            if best_key is None or key > best_key:
-                best, best_key = v, key
-        order.append(best)
-        placed |= 1 << best
-    return order
-
-
 # One search step: (pattern vertex, its degree, the earlier depths holding
 # its neighbours, the earlier depths holding its non-neighbours).
 _Step = tuple[int, int, tuple[int, ...], tuple[int, ...]]
 
 
-def _steps(h: Graph, order: list[int]) -> tuple[_Step, ...]:
-    """The search steps that place ``h``'s vertices in ``order``."""
-    out = []
-    for depth, x in enumerate(order):
-        earlier = range(depth)
-        nbrs = tuple(j for j in earlier if h.has_edge(x, order[j]))
-        non = tuple(j for j in earlier if not h.has_edge(x, order[j]))
-        out.append((x, h.degree(x), nbrs, non))
-    return tuple(out)
+def _plan(h: Graph, first: int) -> tuple[_Step, ...]:
+    """The search steps that place ``h``'s vertices from ``first`` on,
+    connectivity first: each next vertex has the most placed neighbours,
+    then the highest degree, then the lowest id."""
+    order = [first]
+    placed = 1 << first
+    while len(order) < h.n:
+        x = max(
+            (v for v in range(h.n) if not placed >> v & 1),
+            key=lambda v: ((h.adj[v] & placed).bit_count(), h.degree(v), -v),
+        )
+        order.append(x)
+        placed |= 1 << x
+    return tuple(
+        (
+            x,
+            h.degree(x),
+            tuple(j for j in range(depth) if h.has_edge(x, order[j])),
+            tuple(j for j in range(depth) if not h.has_edge(x, order[j])),
+        )
+        for depth, x in enumerate(order)
+    )
 
 
 @lru_cache(maxsize=256)
@@ -262,14 +274,14 @@ def _plans(h: Graph, anchored: bool) -> tuple[tuple[_Step, ...], ...]:
     embedding of ``h`` into itself is an automorphism.
     """
     if not anchored:
-        return (_steps(h, _pattern_order(h)),)
+        return (_plan(h, max(range(h.n), key=lambda v: (h.degree(v), -v))),)
     at_least = _degree_masks(h, h.max_degree())
     plans = []
     found = 0
     for x in range(h.n):
         if found >> x & 1:
             continue
-        plan = _steps(h, _pattern_order(h, first=x))
+        plan = _plan(h, x)
         plans.append(plan)
         for y in range(x + 1, h.n):
             if not found >> y & 1 and _embed(h.adj, plan, True, at_least, 1 << y):
@@ -435,8 +447,7 @@ def _find_multipartite_subgraph(g: Graph, sizes: list[int]) -> list[list[int]] |
             return True
         size = sizes[idx]
         later_need = sum(sizes[idx + 1:])
-        cand_list = [v for v in iter_bits(cands) if v >= min_start] if min_start else iter_bits(cands)
-        for combo in combinations(cand_list, size):
+        for combo in combinations(iter_bits(cands >> min_start << min_start), size):
             common = cands
             for v in combo:
                 common &= g.adj[v]
@@ -462,8 +473,7 @@ def is_family_free(
     """
     if not family:
         raise ValueError("family must be nonempty")
-    for spec in family:
-        h = make_pattern(spec)
+    for h in _fitting(g.n, tuple(family)):
         occ = find_induced(g, h) if induced else find_subgraph(g, h)
         if occ is not None:
             return False, occ

@@ -11,6 +11,7 @@ joined set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations, product
 from typing import Iterator, Mapping
 
@@ -177,15 +178,8 @@ def enumerate_balloons(g: Graph, p: int, t: int) -> list[Balloon]:
             f"balloon enumeration cap is {BALLOON_MAX_N} vertices, got {g.n}"
         )
     out: list[Balloon] = []
-    chi_of_z: dict[int, int] = {}
-    sets: dict[int, frozenset[int]] = {}
-
-    def members(mask: int) -> frozenset[int]:
-        found = sets.get(mask)
-        if found is None:
-            found = sets[mask] = frozenset(iter_bits(mask))
-        return found
-
+    chi_of_z = cache(lambda z_mask: chi_of_subset(g, iter_bits(z_mask)))
+    members = cache(lambda mask: frozenset(iter_bits(mask)))
     candidates: list[tuple[tuple[int, ...], list[int]]] = []
     for path, region in _induced_paths(g, p):
         tip = path[-1]
@@ -193,33 +187,31 @@ def enumerate_balloons(g: Graph, p: int, t: int) -> list[Balloon]:
         if core >> tip & 1:
             candidates.append((path, _connected_bodies(g, core, tip, t)))
 
-    # size order: every Y - v is decided before Y
-    connected: dict[int, bool] = {}
+    # size order: every Y - v is decided before Y; only the t-connected
+    # masks get a rank, their place in that order
+    rank: dict[int, int] = {}
     for y_mask in sorted({y for _, ys in candidates for y in ys}, key=_size_lex):
         rest = y_mask
         while rest:
             low = rest & -rest
             rest ^= low
-            if connected.get(y_mask ^ low):
-                connected[y_mask] = True
+            if y_mask ^ low in rank:
                 break
         else:
-            connected[y_mask] = _t_connected_mask(g, y_mask, t)
-    rank = {y_mask: i for i, y_mask in enumerate(connected)}
+            if not _t_connected_mask(g, y_mask, t):
+                continue
+        rank[y_mask] = len(rank)
 
     for path, ys in candidates:
         tip = path[-1]
-        for y_mask in sorted((y for y in ys if connected[y]), key=rank.__getitem__):
+        for y_mask in sorted((y for y in ys if y in rank), key=rank.__getitem__):
             z_mask = y_mask & ~g.adj[tip]
-            value = chi_of_z.get(z_mask)
-            if value is None:
-                value = chi_of_z[z_mask] = chi_of_subset(g, iter_bits(z_mask))
             out.append(
                 Balloon(
                     path=path,
                     body=members(y_mask),
                     z_set=members(z_mask),
-                    value=value,
+                    value=chi_of_z(z_mask),
                     t=t,
                 )
             )
@@ -329,19 +321,16 @@ def enumerate_bicliques(g: Graph, t: int) -> list[Biclique]:
     """
     _require_ints(t=(t, 1))
     out: list[Biclique] = []
-    chi_of_common: dict[int, int] = {}
+    chi_of_common = cache(lambda common: chi_of_subset(g, iter_bits(common)))
     for combo in combinations(range(g.n), t):
         common = g.full_mask()
         for v in combo:
             common &= g.adj[v]
-        value = chi_of_common.get(common)
-        if value is None:
-            value = chi_of_common[common] = chi_of_subset(g, iter_bits(common))
         out.append(
             Biclique(
                 x_set=frozenset(combo),
                 y_set=frozenset(iter_bits(common)),
-                value=value,
+                value=chi_of_common(common),
             )
         )
     return out
@@ -459,7 +448,7 @@ def in_class_L(
     threshold = binding[point]
 
     adj = g.adj
-    chi_of_f: dict[int, int] = {}
+    chi_of_f = cache(lambda f_mask: chi_of_subset(g, iter_bits(f_mask)))
     for x_set in minimal_cutsets(g):
         x_mask = mask_of(x_set)
         comps = components_masks(g, g.full_mask() & ~x_mask)
@@ -485,9 +474,7 @@ def in_class_L(
                 for f_mask in f_comps:
                     if not adj[y] & f_mask:
                         continue
-                    chi_f = chi_of_f.get(f_mask)
-                    if chi_f is None:
-                        chi_f = chi_of_f[f_mask] = chi_of_subset(g, iter_bits(f_mask))
+                    chi_f = chi_of_f(f_mask)
                     if chi_f <= threshold:
                         continue
                     witnesses: dict[str, object] = {

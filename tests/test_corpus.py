@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 from itertools import permutations
 
 import networkx as nx
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
+import chibound.corpus
+import chibound.patterns
 from chibound.graph import CapExceeded, Graph, build_graph
 from chibound.corpus import (
     DEDUP_MAX_N,
@@ -383,6 +386,21 @@ class TestExhaustiveEnumeration:
         graphs = list(enumerate_graphs(spec))
         # K_1(4) as a subgraph is any 4 vertices, so members have n <= 3
         assert all(g.n <= 3 for g in graphs)
+        assert len(graphs) == 1 + 2 + 4
+
+    @pytest.mark.parametrize("text", ["free:complete:n=100000", "nosub:uniformtree:zeta=50,eta=50"])
+    def test_pattern_larger_than_the_host_is_never_built(self, monkeypatch, text):
+        # it cannot occur, so the filter admits every graph on 1..3 vertices;
+        # building it would take minutes and gigabytes, so building fails
+        for module in (chibound.patterns, chibound.corpus):
+            monkeypatch.setattr(
+                module, "make_pattern", lambda spec: pytest.fail(f"built {spec}"), raising=False
+            )
+        spec = parse_corpus_spec(f"exhaustive:n=1..3,filters={text}")
+        start = time.perf_counter()
+        graphs = list(enumerate_graphs(spec))
+        assert all(spec.filters[0].admits(g) for g in graphs)
+        assert time.perf_counter() - start < 1.0
         assert len(graphs) == 1 + 2 + 4
 
     def test_filter_order_independent(self):

@@ -1,14 +1,15 @@
 import hashlib
 import random
 import re
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
-from chibound.graph import bfs_layers, build_graph, iter_bits
+from chibound.graph import bfs_layers, build_graph, is_connected_mask, iter_bits
 from chibound.patterns import (
+    PATTERN_KINDS,
     PatternSpec,
     _plans,
     find_induced,
@@ -369,6 +370,29 @@ def test_anchor_plans_cover_one_vertex_per_orbit(spec):
     h = make_pattern(spec)
     anchors = [plan[0][0] for plan in _plans(h, True)]
     assert anchors == [min(orbit) for orbit in brute_force_orbits(h)]
+
+
+@pytest.mark.parametrize("kind", sorted(PATTERN_KINDS))
+def test_plans_start_at_top_degree_and_grow_connected(kind):
+    # every kind at small parameters: the unanchored plan starts at the
+    # lowest-id vertex of maximum degree; in every plan each step sorts the
+    # earlier depths into neighbours and non-neighbours, and on a connected
+    # pattern every step after the first has a placed neighbour
+    for values in product(*(range(least, least + 3) for least in PATTERN_KINDS[kind][1])):
+        h = make_pattern(PatternSpec(kind, values))
+        (unanchored,) = _plans(h, False)
+        top = h.max_degree()
+        assert unanchored[0][0] == min(v for v in range(h.n) if h.degree(v) == top), values
+        connected = is_connected_mask(h, h.full_mask())
+        for plan in (unanchored, *(_plans(h, True) if h.n <= 12 else ())):
+            order = [step[0] for step in plan]
+            assert sorted(order) == list(range(h.n)), values
+            for depth, (x, degree, nbrs, non) in enumerate(plan):
+                assert degree == h.degree(x)
+                assert sorted(nbrs + non) == list(range(depth))
+                assert all(h.has_edge(x, order[j]) for j in nbrs)
+                assert not any(h.has_edge(x, order[j]) for j in non)
+                assert nbrs or depth == 0 or not connected, (values, order)
 
 
 @settings(max_examples=150)

@@ -96,6 +96,20 @@ def brute_force_balloons(g, p, t):
     return found
 
 
+@pytest.fixture
+def chi_asked(monkeypatch):
+    """The vertex sets handed to ``chi_of_subset`` by ``structures``, in call order."""
+    asked = []
+
+    def counting(g, vertices):
+        vertices = frozenset(vertices)
+        asked.append(vertices)
+        return chi_of_subset(g, vertices)
+
+    monkeypatch.setattr(structures, "chi_of_subset", counting)
+    return asked
+
+
 class TestBalloonExamples:
     def test_c5_p1_t2(self):
         g = cycle_graph(5)
@@ -160,6 +174,17 @@ class TestBalloonOracle:
                 tested.clear()
                 enumerate_balloons(g, p, t)
                 assert len(tested) == len(set(tested)), (g.edges(), p, t)
+
+    def test_chi_of_each_z_set_asked_once(self, chi_asked):
+        # z-sets recur across bodies and paths: one chi per distinct z-set
+        rng = random.Random(97)
+        for _ in range(12):
+            g = random_graph(rng.randint(6, 11), rng.choice([0.3, 0.5, 0.7]), rng)
+            for p, t in [(1, 1), (1, 2), (2, 2), (2, 3), (3, 2)]:
+                chi_asked.clear()
+                found = enumerate_balloons(g, p, t)
+                assert len(chi_asked) == len(set(chi_asked)), (g.edges(), p, t)
+                assert set(chi_asked) == {b.z_set for b in found}, (g.edges(), p, t)
 
     def test_connected_bodies_match_brute_force(self):
         # every subset of base holding the tip, connected, with more than
@@ -384,6 +409,17 @@ class TestBicliques:
             b = Biclique(frozenset(x_set), frozenset(y_set), 1)
             assert not validate_biclique(g, b), (x_set, y_set)
 
+    def test_chi_of_each_common_neighbourhood_asked_once(self, chi_asked):
+        # t-sets with one common neighbourhood share its chi
+        rng = random.Random(91)
+        for _ in range(12):
+            g = random_graph(rng.randint(4, 10), rng.choice([0.3, 0.5, 0.7]), rng)
+            for t in (1, 2, 3):
+                chi_asked.clear()
+                found = enumerate_bicliques(g, t)
+                assert len(chi_asked) == len(set(chi_asked)), (g.edges(), t)
+                assert set(chi_asked) == {b.y_set for b in found}, (g.edges(), t)
+
     def test_value_monotone_under_subsets(self):
         rng = random.Random(89)
         for _ in range(10):
@@ -540,19 +576,11 @@ class TestClassL:
             f_graph, _ = induced(g, cert.witnesses["F"])
             assert cert.witnesses["chi_F"] == brute_force_chromatic(f_graph)
 
-    def test_chi_of_each_component_asked_once(self, monkeypatch):
-        asked = []
-
-        def counting(g, vertices):
-            vertices = frozenset(vertices)
-            asked.append(vertices)
-            return chi_of_subset(g, vertices)
-
-        monkeypatch.setattr(structures, "chi_of_subset", counting)
+    def test_chi_of_each_component_asked_once(self, chi_asked):
         for g, _ in class_l_instances():
-            asked.clear()
+            chi_asked.clear()
             in_class_L(g, 2, self.IDENTITY)
-            assert len(asked) == len(set(asked)), g.edges()
+            assert len(chi_asked) == len(set(chi_asked)), g.edges()
 
     def test_certificate_json_round_trip(self):
         for g, _ in class_l_instances():
