@@ -2,8 +2,10 @@
 
 Everything here is exact: past ``CHI_MAX_N`` vertices the solvers
 refuse instead of approximating, since downstream verification depends
-on true values of chi and omega.  Every chromatic number, of a whole
-graph or of a vertex subset, comes from one routine, :func:`_chi`, on a
+on true values of chi and omega.  A chromatic number of a vertex
+subset that is at most 2 comes from a bitset two-colouring
+(:func:`_two_colour`); every other one, and every chromatic number of
+a whole graph with its witness, comes from one routine, :func:`_chi`, on a
 vertex mask of the host rows: a greedy saturation coloring gives the
 upper bound, and a saturation search with a maximum clique precolored
 refutes each smaller color count or finds the optimal witness.  The
@@ -246,16 +248,59 @@ def chromatic_number(g: Graph) -> tuple[int, Coloring]:
 def chi_of_subset(g: Graph, vertices: Iterable[int]) -> int:
     """Chromatic number of the induced subgraph on ``vertices`` (0 for the empty set).
 
-    The value of :func:`_chi` on the vertex mask, straight from the host
-    rows: the same search as :func:`chromatic_number`, without building
-    the subgraph or a witness.  Refuses sets above ``CHI_MAX_N`` vertices.
+    Straight from the host rows, without building the subgraph or a
+    witness.  A value of at most 2 comes from a bitset two-colouring
+    (:func:`_two_colour`), which is exact: chi is at most 2 iff there is
+    no odd cycle.  Larger values come from :func:`_chi`, the same search
+    as :func:`chromatic_number`.  Refuses sets above ``CHI_MAX_N`` vertices.
     """
     mask = 0
     for v in vertices:
         if not (type(v) is int and 0 <= v < g.n):
             raise ValueError(f"vertices out of range: {v!r} is not an int in range({g.n})")
         mask |= 1 << v
-    return _chi(g, mask)[0]
+    _capped(mask)
+    two = _two_colour(g.adj, mask)
+    return _chi(g, mask)[0] if two is None else two
+
+
+def _two_colour(rows: Sequence[int], mask: int) -> int | None:
+    """Chromatic number of the subgraph of ``rows`` induced on ``mask``
+    when it is at most 2, else None.
+
+    Breadth-first layers of each component, one bitset per layer: every
+    edge joins two consecutive layers or lies inside one, and one inside
+    a layer closes an odd cycle.  With none, even and odd layers are the
+    two colours; 0 for the empty set and 1 when no edge was seen.
+    """
+    value = min(mask.bit_count(), 1)
+    rest = mask
+    while rest:
+        frontier = seen = rest & -rest
+        while frontier:
+            nxt = 0
+            layer = frontier
+            while layer:
+                low = layer & -layer
+                nxt |= rows[low.bit_length() - 1]
+                layer ^= low
+            nxt &= mask
+            if nxt & frontier:
+                return None
+            if nxt:
+                value = 2
+            frontier = nxt & ~seen
+            seen |= frontier
+        rest &= ~seen
+    return value
+
+
+def _capped(mask: int) -> int:
+    """The size of ``mask``; raises :class:`CapExceeded` above ``CHI_MAX_N``."""
+    n = mask.bit_count()
+    if n > CHI_MAX_N:
+        raise CapExceeded(f"chromatic_number cap is {CHI_MAX_N} vertices, got {n}")
+    return n
 
 
 def _chi(g: Graph, mask: int) -> tuple[int, list[int], list[int]]:
@@ -275,9 +320,7 @@ def _chi(g: Graph, mask: int) -> tuple[int, list[int], list[int]]:
     empty), every vertex colored 0, which is the search's own witness.
     Returns ``(k, colors by rank, rank)``; refuses over ``CHI_MAX_N`` vertices.
     """
-    n = mask.bit_count()
-    if n > CHI_MAX_N:
-        raise CapExceeded(f"chromatic_number cap is {CHI_MAX_N} vertices, got {n}")
+    n = _capped(mask)
     rows = g.adj
     rest = mask
     while rest:

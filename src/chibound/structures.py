@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations, product
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .graph import (
     CapExceeded,
@@ -155,6 +155,9 @@ def enumerate_balloons(g: Graph, p: int, t: int) -> list[Balloon]:
     outside that core has no body, and otherwise only the connected sets
     of the core that contain the tip, have more than t vertices and
     minimum degree at least t are generated (:func:`_connected_bodies`).
+    The core lies inside the region, so a member of it has at least t
+    neighbours in the region: a tip with fewer has no body, and its
+    region is not peeled at all.
 
     The verdicts come from one pass over the union of every path's
     candidates, by increasing size.  Every member of a candidate Y has at
@@ -167,9 +170,10 @@ def enumerate_balloons(g: Graph, p: int, t: int) -> list[Balloon]:
     a function of the candidate set alone and does not depend on which
     tip reaches a body first, that is, on the vertex labels.
 
-    Within one call each body mask gets at most one t-connectivity test,
-    each z-set one chi, and each body and z-set mask one frozenset,
-    shared by every balloon that carries it.  Raises
+    Within one call each body mask gets at most one t-connectivity test
+    and one frozenset, and each z-set mask one entry, its frozenset and
+    its chi (:func:`_valued_sets`), shared by every balloon that carries
+    them.  Raises
     :class:`CapExceeded` when the graph is larger than ``BALLOON_MAX_N``.
     """
     _require_ints(p=(p, 1), t=(t, 1))
@@ -177,12 +181,12 @@ def enumerate_balloons(g: Graph, p: int, t: int) -> list[Balloon]:
         raise CapExceeded(
             f"balloon enumeration cap is {BALLOON_MAX_N} vertices, got {g.n}"
         )
-    out: list[Balloon] = []
-    chi_of_z = cache(lambda z_mask: chi_of_subset(g, iter_bits(z_mask)))
-    members = cache(lambda mask: frozenset(iter_bits(mask)))
+    adj = g.adj
     candidates: list[tuple[tuple[int, ...], list[int]]] = []
     for path, region in _induced_paths(g, p):
         tip = path[-1]
+        if (adj[tip] & region).bit_count() < t:
+            continue
         core = _core_mask(g, region, t)
         if core >> tip & 1:
             candidates.append((path, _connected_bodies(g, core, tip, t)))
@@ -190,7 +194,8 @@ def enumerate_balloons(g: Graph, p: int, t: int) -> list[Balloon]:
     # size order: every Y - v is decided before Y; only the t-connected
     # masks get a rank, their place in that order
     rank: dict[int, int] = {}
-    for y_mask in sorted({y for _, ys in candidates for y in ys}, key=_size_lex):
+    bodies: list[tuple[int, frozenset[int]]] = []  # by rank
+    for y_mask in sorted({y for _, ys in candidates for y in ys}, key=_size_lex(g.n)):
         rest = y_mask
         while rest:
             low = rest & -rest
@@ -201,21 +206,29 @@ def enumerate_balloons(g: Graph, p: int, t: int) -> list[Balloon]:
             if not _t_connected_mask(g, y_mask, t):
                 continue
         rank[y_mask] = len(rank)
+        bodies.append((y_mask, frozenset(iter_bits(y_mask))))
 
+    out: list[Balloon] = []
+    z_entry = _valued_sets(g)
     for path, ys in candidates:
-        tip = path[-1]
-        for y_mask in sorted((y for y in ys if y in rank), key=rank.__getitem__):
-            z_mask = y_mask & ~g.adj[tip]
-            out.append(
-                Balloon(
-                    path=path,
-                    body=members(y_mask),
-                    z_set=members(z_mask),
-                    value=chi_of_z(z_mask),
-                    t=t,
-                )
-            )
+        off_tip = ~adj[path[-1]]
+        for r in sorted(rank[y] for y in ys if y in rank):
+            y_mask, body = bodies[r]
+            out.append(Balloon(path, body, *z_entry(y_mask & off_tip), t))
     return out
+
+
+def _valued_sets(g: Graph) -> Callable[[int], tuple[frozenset[int], int]]:
+    """A per-call memo from a vertex mask of ``g`` to its members and
+    their chi, so that every output record carrying one mask shares one
+    frozenset and one :func:`chi_of_subset` call."""
+
+    @cache
+    def entry(mask: int) -> tuple[frozenset[int], int]:
+        members = frozenset(iter_bits(mask))
+        return members, chi_of_subset(g, members)
+
+    return entry
 
 
 def _connected_bodies(g: Graph, base: int, tip: int, t: int) -> list[int]:
@@ -223,34 +236,41 @@ def _connected_bodies(g: Graph, base: int, tip: int, t: int) -> list[int]:
     than t vertices and minimum degree at least t, each once.
 
     Extend/exclude recursion on the rows ``adj & base``: a call holds a
-    connected set, its frontier and its room, the vertices of ``base``
+    connected set y, its frontier and its room, the vertices of ``base``
     not yet excluded; it adds the frontier vertices one at a time, and a
     vertex once tried is excluded from the later branches.  Every set a
     branch can still reach lies inside its room, so a frontier vertex
     with fewer than t neighbours in the room is excluded untried, and
     once an exclusion leaves a member of the current set with fewer than
     t of them, the remaining siblings are dropped.
+
+    A call also holds ``short``, the members of y with fewer than t
+    neighbours in y, and y is kept when ``short`` is empty and y has more
+    than t vertices.  Adding w to y raises the count in y of w's
+    neighbours by one and of no other member, so only w and the members
+    of ``short`` next to w can change side: the rest of y keeps its
+    verdict, and no step rescans all of y.
     """
     adj = g.adj
     out: list[int] = []
 
-    def grow(y: int, frontier: int, room: int) -> None:
-        if y.bit_count() > t:
-            rest = y
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                if (adj[low.bit_length() - 1] & y).bit_count() < t:
-                    break
-            else:
-                out.append(y)
+    def grow(y: int, short: int, frontier: int, room: int) -> None:
+        if not short and y.bit_count() > t:
+            out.append(y)
         while frontier:
             low = frontier & -frontier
             frontier ^= low
             row = adj[low.bit_length() - 1]
             if (row & room).bit_count() >= t:
                 grown = y | low
-                grow(grown, (frontier | row & room) & ~grown, room)
+                grown_short = short if (row & y).bit_count() >= t else short | low
+                near = short & row
+                while near:
+                    u = near & -near
+                    near ^= u
+                    if (adj[u.bit_length() - 1] & grown).bit_count() >= t:
+                        grown_short ^= u
+                grow(grown, grown_short, (frontier | row & room) & ~grown, room)
             room ^= low
             touched = y & row
             while touched:
@@ -260,14 +280,18 @@ def _connected_bodies(g: Graph, base: int, tip: int, t: int) -> list[int]:
                     return
 
     tip_bit = 1 << tip
-    grow(tip_bit, adj[tip] & base & ~tip_bit, base)
+    grow(tip_bit, tip_bit, adj[tip] & base & ~tip_bit, base)
     return out
 
 
 def validate_balloon(g: Graph, b: Balloon) -> bool:
-    """Re-check every defining condition of a balloon, independent of the enumerator."""
+    """Re-check every defining condition of a balloon, independent of the
+    enumerator.  ``t`` and ``value`` must be ints (:func:`_is_int`): a
+    bool or float equal to the right int is refused."""
     p = len(b.path)
-    if p < 1 or b.t < 1 or not _on_graph(g, (*b.path, *b.body, *b.z_set)) or len(set(b.path)) != p:
+    if not (_is_int(b.t) and _is_int(b.value)) or p < 1 or b.t < 1:
+        return False
+    if not _on_graph(g, (*b.path, *b.body, *b.z_set)) or len(set(b.path)) != p:
         return False
     # induced path
     for i in range(p):
@@ -317,28 +341,24 @@ def enumerate_bicliques(g: Graph, t: int) -> list[Biclique]:
     The maximal choice of Y for a given X is the common neighborhood of
     X; chi is monotone under induced subgraphs, so maximal Y suffices
     for any value-threshold question.  X sets come in lexicographic
-    order.
+    order, and X sets with one common neighbourhood share its frozenset
+    and chi (:func:`_valued_sets`).
     """
     _require_ints(t=(t, 1))
     out: list[Biclique] = []
-    chi_of_common = cache(lambda common: chi_of_subset(g, iter_bits(common)))
+    y_entry = _valued_sets(g)
     for combo in combinations(range(g.n), t):
         common = g.full_mask()
         for v in combo:
             common &= g.adj[v]
-        out.append(
-            Biclique(
-                x_set=frozenset(combo),
-                y_set=frozenset(iter_bits(common)),
-                value=chi_of_common(common),
-            )
-        )
+        out.append(Biclique(frozenset(combo), *y_entry(common)))
     return out
 
 
 def validate_biclique(g: Graph, b: Biclique) -> bool:
-    """Re-check that X is completely joined to a disjoint Y and the value is chi(Y)."""
-    if not _on_graph(g, b.x_set | b.y_set) or b.x_set & b.y_set:
+    """Re-check that X is completely joined to a disjoint Y and the value
+    is chi(Y), an int (:func:`_is_int`): a bool or float is refused."""
+    if not _is_int(b.value) or not _on_graph(g, b.x_set | b.y_set) or b.x_set & b.y_set:
         return False
     for x in b.x_set:
         for y in b.y_set:
@@ -384,20 +404,38 @@ def minimal_cutsets(g: Graph) -> list[frozenset[int]]:
                     found.add(sep)
                     todo.append(sep)
     out = [s_mask for s_mask in found if set(separators_beside(s_mask)) == {s_mask}]
-    out.sort(key=_size_lex)
+    out.sort(key=_size_lex(g.n))
     return [frozenset(iter_bits(s_mask)) for s_mask in out]
 
 
-def _size_lex(mask: int) -> tuple[int, list[int]]:
-    """Sort key: by size, then lexicographic on the sorted members."""
-    return mask.bit_count(), iter_bits(mask)
+def _size_lex(n: int) -> Callable[[int], int]:
+    """Sort key for masks below ``2**n``: by size, then lexicographic on
+    the sorted members, as one int.
+
+    Two sets of one size first differ at the lowest member of their
+    symmetric difference, and the set holding it comes first.  Reversing
+    the n bits makes that member the highest differing bit, so the set
+    that comes first has the larger reversed mask and the smaller
+    complement of it; the size sits above all n bits.
+    """
+    fmt = f"0{n}b"
+    full = (1 << n) - 1
+
+    def key(mask: int) -> int:
+        return mask.bit_count() << n | full ^ int(format(mask, fmt)[::-1], 2)
+
+    return key
 
 
 def _boundary(g: Graph, mask: int) -> int:
     """N(mask): the vertices outside ``mask`` with a neighbor in it."""
+    adj = g.adj
     out = 0
-    for v in iter_bits(mask):
-        out |= g.adj[v]
+    rest = mask
+    while rest:
+        low = rest & -rest
+        out |= adj[low.bit_length() - 1]
+        rest ^= low
     return out & ~mask
 
 

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chibound import solvers
-from chibound.graph import CapExceeded, Graph, build_graph, degeneracy, induced
+from chibound.graph import CapExceeded, Graph, build_graph, degeneracy, induced, iter_bits, mask_of
 from chibound.patterns import PatternSpec, find_induced, make_pattern
 from chibound.solvers import (
     Coloring,
     _dsatur,
     _greedy,
     _rank_relabel,
+    _two_colour,
     chi_of_subset,
     chromatic_number,
     clique_number,
@@ -326,6 +327,21 @@ class TestChiOfSubset:
         vertices = [v for v in range(g.n) if keep[v]]
         sub, _ = induced(g, vertices)
         assert chi_of_subset(g, vertices) == brute_force_chromatic(sub)
+
+    @settings(max_examples=150)
+    @given(g=graphs(max_n=8), data=st.data())
+    def test_two_colouring_matches_brute_force(self, g, data):
+        # plant an odd cycle, then ask a random mask, the empty mask and
+        # the cycle itself: values <= 2 come from the two-colouring
+        order = data.draw(st.permutations(range(g.n)))
+        k = data.draw(st.sampled_from([k for k in (3, 5, 7) if k <= g.n] or [0]))
+        cycle = order[:k]
+        planted = build_graph(g.n, g.edges() + [(cycle[i - 1], cycle[i]) for i in range(k)])
+        mask = data.draw(st.integers(0, planted.full_mask()))
+        for vertices in (iter_bits(mask), [], cycle):
+            chi = brute_force_chromatic(induced(planted, vertices)[0])
+            assert chi_of_subset(planted, vertices) == chi
+            assert _two_colour(planted.adj, mask_of(vertices)) == (chi if chi <= 2 else None)
 
     def test_empty_edgeless_and_complete_masks(self):
         rng = random.Random(61)

@@ -7,6 +7,7 @@ from math import comb
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chibound import structures
 from chibound.graph import (
@@ -16,6 +17,7 @@ from chibound.graph import (
     components_masks,
     induced,
     is_t_connected,
+    iter_bits,
     mask_of,
 )
 from chibound.patterns import (
@@ -33,6 +35,7 @@ from chibound.structures import (
     ClassCertificate,
     _core_mask,
     _far_region,
+    _size_lex,
     build_class_l_case1,
     build_class_l_case2,
     class_l_instances,
@@ -52,6 +55,7 @@ from helpers import (
     brute_force_is_t_connected,
     complete_graph,
     cycle_graph,
+    graphs,
     path_graph,
     random_graph,
     to_networkx,
@@ -213,6 +217,25 @@ class TestBalloonOracle:
                 assert len(got) == len(set(got)), (g.edges(), base, tip, t)
                 assert set(got) == expected, (g.edges(), base, tip, t)
 
+    @settings(max_examples=120)
+    @given(g=graphs(max_n=9), data=st.data())
+    def test_connected_bodies_match_subset_scan(self, g, data):
+        # the incremental short-member bookkeeping against a scan of every
+        # subset of base: holds the tip, connected, more than t vertices,
+        # minimum degree >= t
+        tip = data.draw(st.integers(0, g.n - 1))
+        base = data.draw(st.integers(0, g.full_mask())) | 1 << tip
+        for t in (1, 2, 3):
+            expected = []
+            for y in range(1 << g.n):
+                if y & ~base or not y >> tip & 1 or y.bit_count() <= t:
+                    continue
+                members = iter_bits(y)
+                if all((g.adj[v] & y).bit_count() >= t for v in members) and components_masks(g, y) == [y]:
+                    expected.append(y)
+            got = structures._connected_bodies(g, base, tip, t)
+            assert sorted(got) == expected, (g.edges(), base, tip, t)
+
     @pytest.fixture
     def tested(self, monkeypatch):
         """The masks handed to ``_t_connected_mask``, in call order."""
@@ -327,6 +350,16 @@ class TestBalloonOracle:
         for t in (0, -1):
             assert not validate_balloon(g, dataclasses.replace(b, t=t)), t
 
+    @pytest.mark.parametrize("field", ["t", "value"])
+    @pytest.mark.parametrize("bad", [True, 1.0], ids=repr)
+    def test_validator_refuses_bool_and_float(self, field, bad):
+        # on C5 the path (1,) with body {1, 2} is a (1,1)-balloon of value 1,
+        # and 1 == True == 1.0
+        g = cycle_graph(5)
+        b = Balloon((1,), frozenset({1, 2}), frozenset({1}), 1, 1)
+        assert validate_balloon(g, b)
+        assert not validate_balloon(g, dataclasses.replace(b, **{field: bad}))
+
     def test_tip_degree_at_least_t(self):
         # t-connected bodies force at least t body neighbors at the tip
         rng = random.Random(79)
@@ -409,6 +442,13 @@ class TestBicliques:
             b = Biclique(frozenset(x_set), frozenset(y_set), 1)
             assert not validate_biclique(g, b), (x_set, y_set)
 
+    @pytest.mark.parametrize("value", [True, 1.0], ids=repr)
+    def test_validator_refuses_bool_and_float_value(self, value):
+        # chi of {0, 2} on C5 is 1, and 1 == True == 1.0
+        g = cycle_graph(5)
+        assert validate_biclique(g, Biclique(frozenset({1}), frozenset({0, 2}), 1))
+        assert not validate_biclique(g, Biclique(frozenset({1}), frozenset({0, 2}), value))
+
     def test_chi_of_each_common_neighbourhood_asked_once(self, chi_asked):
         # t-sets with one common neighbourhood share its chi
         rng = random.Random(91)
@@ -429,6 +469,15 @@ class TestBicliques:
                 for _ in range(3):
                     sub = [v for v in members if rng.random() < 0.5]
                     assert chi_of_subset(g, sub) <= b.value
+
+
+@settings(max_examples=200)
+@given(n=st.integers(0, 16), data=st.data())
+def test_size_lex_key_orders_by_size_then_members(n, data):
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=40))
+    key = _size_lex(n)
+    assert sorted(masks, key=key) == sorted(masks, key=lambda m: (m.bit_count(), iter_bits(m)))
+    assert len({key(m) for m in masks}) == len(set(masks))
 
 
 class TestMinimalCutsets:
