@@ -221,7 +221,7 @@ class PatternFilter:
         return None
 
     def admits(self, g: Graph) -> bool:
-        ok, _ = is_family_free(g, list(self.family), induced=self.induced)
+        ok, _ = is_family_free(g, self.family, induced=self.induced)
         return ok
 
     def admits_extension(self, g: Graph, new_vertex: int) -> bool:

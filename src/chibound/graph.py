@@ -7,7 +7,7 @@ lowest-bit loop that returns the members as an ascending list.  Hot
 loops that stop early or fold the bits into another mask run the same
 ``low = rest & -rest`` step inline instead.
 All functions here are pure; graphs are safe to share across threads
-(a graph's memos are written once, see :class:`Graph`).
+(a graph's one memo is written once, see :class:`Graph`).
 """
 
 from __future__ import annotations
@@ -63,19 +63,18 @@ class Graph:
     bitset of ``v``, and ``n`` is ``len(adj)``.  Use :func:`build_graph`
     to construct from an edge list with validation.
 
-    Two values are memoised on first use: ``_hash`` and ``_clique``, the
-    ``(size, mask)`` maximum clique that the solvers search once per
-    graph and share between ``clique_number`` and ``chromatic_number``.
-    Each is a pure function of ``adj``, so two threads racing to fill a
-    memo store equal values and either write may win.
+    One value is memoised on first use: ``_clique``, the ``(size, mask)``
+    maximum clique that the solvers search once per graph and share
+    between ``clique_number`` and ``chromatic_number``.  It is a pure
+    function of ``adj``, so two threads racing to fill it store equal
+    values and either write may win.
     """
 
-    __slots__ = ("n", "adj", "_hash", "_clique")
+    __slots__ = ("n", "adj", "_clique")
 
     def __init__(self, adj: tuple[int, ...]):
         self.n = len(adj)
         self.adj = adj
-        self._hash = None
         self._clique = None
 
     # -- basic accessors --------------------------------------------------
@@ -117,9 +116,7 @@ class Graph:
         return isinstance(other, Graph) and self.adj == other.adj
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.n, self.adj))
-        return self._hash
+        return hash((self.n, self.adj))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count()})"

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, pairwise
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .graph import (
     Graph,
@@ -35,8 +35,8 @@ class PatternSpec:
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        # the one validity check, here and not in the cached make_pattern:
-        # k=True equals and hashes like k=1, so a cache hit would skip it
+        # the one validity check, here and not in a builder: k=True equals
+        # and hashes like k=1, so a cache hit on a spec would skip it
         if self.kind not in PATTERN_KINDS:
             raise ValueError(f"unknown pattern kind {self.kind!r}")
         names, minimums, _ = PATTERN_KINDS[self.kind]
@@ -199,9 +199,8 @@ def _vertex_count(spec: PatternSpec) -> int:
     return PATTERN_KINDS[spec.kind][2](*spec.values)[0]
 
 
-@lru_cache(maxsize=None)
 def make_pattern(spec: PatternSpec) -> Graph:
-    """Construct the pattern graph for ``spec`` (cached; graphs are immutable).
+    """Construct the pattern graph for ``spec``.
 
     A ``PatternSpec`` is valid once made, so this only runs the builder.
     """
@@ -464,7 +463,7 @@ def _find_multipartite_subgraph(g: Graph, sizes: list[int]) -> list[list[int]] |
 
 
 def is_family_free(
-    g: Graph, family: list[PatternSpec], induced: bool = True
+    g: Graph, family: Sequence[PatternSpec], induced: bool = True
 ) -> tuple[bool, Occurrence | None]:
     """True iff no family member occurs in ``g`` (induced or subgraph mode).
 

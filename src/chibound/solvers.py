@@ -241,7 +241,7 @@ def chromatic_number(g: Graph) -> tuple[int, Coloring]:
     tried in ascending order; this fixes the witness.  Refuses graphs
     above ``CHI_MAX_N`` vertices rather than returning a heuristic answer.
     """
-    k, colors, rank = _chi(g, g.full_mask())
+    k, colors, rank = _chi(g, _capped(g.full_mask()))
     return k, Coloring(tuple(map(colors.__getitem__, rank)), k)
 
 
@@ -259,8 +259,7 @@ def chi_of_subset(g: Graph, vertices: Iterable[int]) -> int:
         if not (type(v) is int and 0 <= v < g.n):
             raise ValueError(f"vertices out of range: {v!r} is not an int in range({g.n})")
         mask |= 1 << v
-    _capped(mask)
-    two = _two_colour(g.adj, mask)
+    two = _two_colour(g.adj, _capped(mask))
     return _chi(g, mask)[0] if two is None else two
 
 
@@ -296,11 +295,11 @@ def _two_colour(rows: Sequence[int], mask: int) -> int | None:
 
 
 def _capped(mask: int) -> int:
-    """The size of ``mask``; raises :class:`CapExceeded` above ``CHI_MAX_N``."""
+    """``mask`` itself; raises :class:`CapExceeded` above ``CHI_MAX_N`` vertices."""
     n = mask.bit_count()
     if n > CHI_MAX_N:
         raise CapExceeded(f"chromatic_number cap is {CHI_MAX_N} vertices, got {n}")
-    return n
+    return mask
 
 
 def _chi(g: Graph, mask: int) -> tuple[int, list[int], list[int]]:
@@ -315,24 +314,14 @@ def _chi(g: Graph, mask: int) -> tuple[int, list[int], list[int]]:
     search (:func:`_dsatur`) refutes each k from omega up or finds it
     optimal; for the whole graph the clique is the one kept on ``g``
     (:func:`_graph_clique`), for a proper subset a fresh
-    :func:`_max_clique` on the mask.  An
-    edgeless mask is answered first, with no relabelling: 1 (0 when
-    empty), every vertex colored 0, which is the search's own witness.
-    Returns ``(k, colors by rank, rank)``; refuses over ``CHI_MAX_N`` vertices.
+    :func:`_max_clique` on the mask.  An edgeless mask gets every vertex
+    colored 0 from the greedy loop, and the empty mask 0 colors.
+    Returns ``(k, colors by rank, rank)``; its callers check ``CHI_MAX_N``.
     """
-    n = _capped(mask)
     rows = g.adj
-    rest = mask
-    while rest:
-        low = rest & -rest
-        if rows[low.bit_length() - 1] & mask:
-            break
-        rest ^= low
-    else:  # edgeless: DSATUR would give every vertex color 0
-        return min(n, 1), [0] * n, [0] * len(rows)
     rank, adj = _rank_relabel(rows, iter_bits(mask), mask)
     greedy = _greedy(adj)
-    ub = max(greedy) + 1
+    ub = max(greedy, default=-1) + 1
     if ub > 3:
         whole = mask == g.full_mask()
         omega, clique = _graph_clique(g) if whole else _max_clique(rows, mask)

@@ -445,11 +445,10 @@ def _boundary(g: Graph, mask: int) -> int:
 
 def in_class_H(g: Graph, p: int) -> tuple[bool, Occurrence | None]:
     """Membership in the C4-free and p-flag-free class, with witness on failure."""
-    _require_ints(p=(p, 1))
-    return is_family_free(g, list(c4_flag_family(p)), induced=True)
+    return is_family_free(g, c4_flag_family(p), induced=True)
 
 
-_L_PRECONDITION_FAMILY = [PatternSpec.path(6), PatternSpec.broom(2, 2)]
+_L_PRECONDITION_FAMILY = (PatternSpec.path(6), PatternSpec.broom(2, 2))
 
 
 def in_class_L(
@@ -469,9 +468,10 @@ def in_class_L(
     of them.  So N is never empty, a second component B2 always exists,
     and so does ``f_vertex``, the lowest neighbor of v in B2.  The case
     conditions depend on (v, B1) and (v, y) only, so they are tested
-    before any chi; each F gets one chi per call.  The first hit in the
-    order X, v, B1, y, F is returned.  A disconnected graph or one with
-    fewer than 2 vertices raises ``ValueError`` before any search.
+    before any chi; each F gets one chi per call (:func:`_valued_sets`).
+    The first hit in the order X, v, B1, y, F is returned.  A
+    disconnected graph or one with fewer than 2 vertices raises
+    ``ValueError`` before any search.
     """
     _require_ints(i=(i, 2))
     if g.n < 2 or not is_connected_mask(g, g.full_mask()):
@@ -486,7 +486,7 @@ def in_class_L(
     threshold = binding[point]
 
     adj = g.adj
-    chi_of_f = cache(lambda f_mask: chi_of_subset(g, iter_bits(f_mask)))
+    f_entry = _valued_sets(g)
     for x_set in minimal_cutsets(g):
         x_mask = mask_of(x_set)
         comps = components_masks(g, g.full_mask() & ~x_mask)
@@ -497,7 +497,7 @@ def in_class_L(
                 b2 = next((c for c in comps if c != b1 and c & ~adj[v]), 0)
                 if not b2:
                     continue
-                extra = {"u": _lowest(b2 & ~adj[v])}
+                extra = {"u": iter_bits(b2 & ~adj[v])[0]}
             else:
                 b2 = next(c for c in comps if c != b1)
             n_mask = adj[v] & b1
@@ -508,11 +508,11 @@ def in_class_L(
                     w_mask = x_mask & ~adj[v] & ~adj[y] & ~(1 << v)
                     if not w_mask:
                         continue
-                    extra = {"w": _lowest(w_mask)}
+                    extra = {"w": iter_bits(w_mask)[0]}
                 for f_mask in f_comps:
                     if not adj[y] & f_mask:
                         continue
-                    chi_f = chi_of_f(f_mask)
+                    f_set, chi_f = f_entry(f_mask)
                     if chi_f <= threshold:
                         continue
                     witnesses: dict[str, object] = {
@@ -521,23 +521,18 @@ def in_class_L(
                         "B1": frozenset(iter_bits(b1)),
                         "y": y,
                         "N": frozenset(iter_bits(n_mask)),
-                        "F": frozenset(iter_bits(f_mask)),
+                        "F": f_set,
                         "Y1": frozenset(z for z in iter_bits(n_mask) if adj[z] & f_mask),
                         "chi_F": chi_f,
                         "omega": omega,
                         "threshold": threshold,
-                        "f_vertex": _lowest(adj[v] & b2),
+                        "f_vertex": iter_bits(adj[v] & b2)[0],
                         **extra,
                         "B2": frozenset(iter_bits(b2)),
                     }
                     case = 1 if x_complete else 2
                     return True, ClassCertificate(f"L({i})", case, witnesses)
     return False, None
-
-
-def _lowest(mask: int) -> int:
-    """The lowest vertex of a nonempty mask."""
-    return (mask & -mask).bit_length() - 1
 
 
 def in_class_F(g: Graph, k: int, p: int, t: int) -> bool:

@@ -1,13 +1,16 @@
 import random
 from enum import IntEnum
+from itertools import combinations
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chibound.corpus import CorpusSpec
+from chibound.corpus import CorpusSpec, read_graph6, write_graph6
 from chibound.patterns import Occurrence, PatternSpec, make_pattern, validate_occurrence
+from chibound.structures import in_class_H
 from chibound.graph import (
+    Graph,
     _t_connected_mask,
     bfs_layers,
     build_graph,
@@ -35,6 +38,30 @@ class TestIterBits:
     @given(mask=st.integers(min_value=0, max_value=(1 << 70) - 1))
     def test_ascending_set_bits(self, mask):
         assert iter_bits(mask) == [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
+class TestGraphEquality:
+    # patterns._plans finds a pattern's search plans by this contract,
+    # whichever _fitting entry built the pattern graph
+    @settings(max_examples=80)
+    @given(g=graphs(max_n=10, min_n=0), data=st.data())
+    def test_copies_are_one_key_and_one_edge_apart_are_two(self, g, data):
+        edges = data.draw(st.permutations(g.edges()))
+        copies = [
+            build_graph(g.n, edges),
+            read_graph6(write_graph6(g)),
+            g.complement().complement(),
+            induced(g, range(g.n))[0],
+            Graph(tuple(g.adj)),
+        ]
+        for h in copies:
+            assert h == g and hash(h) == hash(g)
+        assert len({g, *copies}) == 1
+        if g.n >= 2:
+            u, v = data.draw(st.sampled_from(list(combinations(range(g.n), 2))))
+            flipped = build_graph(g.n, set(g.edges()) ^ {(u, v)})
+            assert all(flipped != h for h in [g, *copies])
+            assert len({g, flipped}) == 2
 
 
 class TestBuildGraph:
@@ -333,7 +360,14 @@ class _Int(int):
 @pytest.mark.parametrize("one", [_One.ONE, _Int(1)], ids=["IntEnum", "int subclass"])
 @pytest.mark.parametrize(
     "boundary",
-    ["build_graph", "PatternSpec", "is_t_connected", "CorpusSpec", "validate_occurrence"],
+    [
+        "build_graph",
+        "PatternSpec",
+        "is_t_connected",
+        "CorpusSpec",
+        "validate_occurrence",
+        "in_class_H",
+    ],
 )
 def test_int_rule_refuses_int_subclasses(boundary, one):
     # an int is exactly an int: each boundary takes a plain 1 here
@@ -345,6 +379,7 @@ def test_int_rule_refuses_int_subclasses(boundary, one):
         "is_t_connected": lambda v: is_t_connected(edge, v),
         "CorpusSpec": lambda v: CorpusSpec("exhaustive", v, 3),
         "validate_occurrence": lambda v: validate_occurrence(edge, point, Occurrence((v,), True)),
+        "in_class_H": lambda v: in_class_H(edge, v),
     }[boundary]
     assert call(1)
     if boundary == "validate_occurrence":

@@ -93,6 +93,8 @@ class TestChromaticNumber:
         g = build_graph(41, [(0, 1)])
         with pytest.raises(CapExceeded):
             chromatic_number(g)
+        with pytest.raises(CapExceeded):
+            chromatic_number(build_graph(41, []))
 
     def test_matches_brute_force(self):
         rng = random.Random(29)
@@ -177,8 +179,8 @@ class TestChromaticNumber:
                 assert chi <= 3 and coloring.colors == self.reference_witness(g)
 
     def test_edgeless_witness_matches_reference_search(self):
-        # answered before any search, with the coloring the search gives
-        for n in range(9):
+        # the greedy loop colors every vertex 0, as the search does; up to the cap
+        for n in range(solvers.CHI_MAX_N + 1):
             g = build_graph(n, [])
             chi, coloring = chromatic_number(g)
             assert chi == coloring.count == min(n, 1)
