@@ -74,6 +74,8 @@ def read_graph6(text: str) -> Graph:
     if min(s) < "?" or max(s) > "~":
         ch = next(ch for ch in s if not "?" <= ch <= "~")
         raise ValueError(f"non-printable graph6 character {ch!r}")
+    if s.startswith("~~"):
+        raise ValueError("graph6 8-byte header '~~' (n > 258047) is not supported")
     if s[0] == "~":
         if len(s) < 4:
             raise ValueError("truncated graph6 header")
@@ -124,28 +126,39 @@ def canonical_key(g: Graph) -> tuple[int, tuple[int, ...]]:
     most significant first, gives the least column and the vertices that
     reach it: ``ties`` starts as ``remaining``, and each plane keeps the
     tied vertices with a 0 there when there are any, and otherwise puts
-    a 1 in the column.  A node costs O(depth) int operations and one new
-    tuple.  Only the vertices with the least column can extend a minimal
-    ordering, and a prefix whose columns already exceed the best key's
-    is dropped.  Position 0 is the empty column, 0 for every vertex, so
-    one call from the empty prefix covers every first vertex; the key
-    leaves that column out.
+    a 1 in the column.  Only the vertices with the least column can
+    extend a minimal ordering.  Position 0 is the empty column, 0 for
+    every vertex, so one call from the empty prefix covers every first
+    vertex; the key leaves that column out.
+
+    A node costs O(depth) int operations, one new tuple and at most one
+    int comparison against the best key.  ``tight`` says that the prefix
+    equals the best key's prefix of the same length.  While it does,
+    only the new column is compared, with the best key's column at that
+    depth: above it the node is dropped, below it the prefix is smaller
+    and nothing under it is compared again.  A leaf is reached only
+    below a prefix that is not larger, so it replaces the best key, and
+    every node on its path, with the siblings that follow, is tight
+    again.
 
     Of two tied candidates, taken in ascending id order, the second is
     skipped when the two are twins in g: their rows are equal (open
     twins) or become equal with their own bits added (closed twins).
     Swapping twins is an automorphism that fixes every other vertex, the
     placed prefix included, so the second subtree repeats the first's
-    keys.
+    keys.  A node with one tied vertex has no twins to skip.
     """
     n, adj = g.n, g.adj
     best = (1 << n,)  # above every key; the first leaf replaces it
 
-    def descend(planes: tuple[int, ...], remaining: int, cols: tuple[int, ...]) -> None:
+    def descend(
+        planes: tuple[int, ...], remaining: int, cols: tuple[int, ...], tight: bool
+    ) -> bool:
+        """Search below the prefix ``cols``; True when a leaf replaced best."""
         nonlocal best
         if not remaining:
-            best = cols  # not above best, or it would have been dropped
-            return
+            best = cols
+            return True
         ties, low = remaining, 0
         for plane in planes:
             zeros = ties & ~plane
@@ -153,9 +166,16 @@ def canonical_key(g: Graph) -> tuple[int, tuple[int, ...]]:
                 ties, low = zeros, low << 1
             else:
                 low = low << 1 | 1
+        if tight:
+            bound = best[len(cols)]
+            if low > bound:
+                return False
+            tight = low == bound
         cols += (low,)
-        if cols > best[: len(cols)]:
-            return
+        if not ties & (ties - 1):
+            rest = remaining & ~ties
+            return descend(planes + (adj[ties.bit_length() - 1] & rest,), rest, cols, tight)
+        replaced = False
         open_rows, closed_rows = set(), set()
         for u in iter_bits(ties):
             row, closed = adj[u], adj[u] | 1 << u
@@ -164,9 +184,11 @@ def canonical_key(g: Graph) -> tuple[int, tuple[int, ...]]:
             open_rows.add(row)
             closed_rows.add(closed)
             rest = remaining & ~(1 << u)
-            descend(planes + (row & rest,), rest, cols)
+            if descend(planes + (row & rest,), rest, cols, tight):
+                replaced = tight = True
+        return replaced
 
-    descend((), (1 << n) - 1, ())
+    descend((), (1 << n) - 1, (), True)
     return (n, best[1:])
 
 

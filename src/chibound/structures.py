@@ -155,9 +155,6 @@ def enumerate_balloons(g: Graph, p: int, t: int) -> list[Balloon]:
     outside that core has no body, and otherwise only the connected sets
     of the core that contain the tip, have more than t vertices and
     minimum degree at least t are generated (:func:`_connected_bodies`).
-    The core lies inside the region, so a member of it has at least t
-    neighbours in the region: a tip with fewer has no body, and its
-    region is not peeled at all.
 
     The verdicts come from one pass over the union of every path's
     candidates, by increasing size.  Every member of a candidate Y has at
@@ -185,8 +182,6 @@ def enumerate_balloons(g: Graph, p: int, t: int) -> list[Balloon]:
     candidates: list[tuple[tuple[int, ...], list[int]]] = []
     for path, region in _induced_paths(g, p):
         tip = path[-1]
-        if (adj[tip] & region).bit_count() < t:
-            continue
         core = _core_mask(g, region, t)
         if core >> tip & 1:
             candidates.append((path, _connected_bodies(g, core, tip, t)))

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import coo_array
 
-from chibound.graph import Graph, build_graph
+from chibound.graph import Graph, build_graph, iter_bits
 
 
 def random_graph(n: int, p: float, rng: random.Random) -> Graph:
@@ -80,6 +80,46 @@ def petersen_graph() -> Graph:
         edges.append((5 + i, 5 + (i + 2) % 5))
         edges.append((i, 5 + i))
     return build_graph(10, edges)
+
+
+def reference_canonical_key(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """``corpus.canonical_key``'s search tree with the plainest
+    bookkeeping: every node compares its whole prefix with the best key's
+    and builds both twin sets, however many vertices tie.
+
+    The exact-key oracle past brute-force reach: stream order and digests
+    depend on the key itself, not only on its invariance.
+    """
+    n, adj = g.n, g.adj
+    best = (1 << n,)  # above every key; the first leaf replaces it
+
+    def descend(planes: tuple[int, ...], remaining: int, cols: tuple[int, ...]) -> None:
+        nonlocal best
+        if not remaining:
+            best = cols  # not above best, or it would have been dropped
+            return
+        ties, low = remaining, 0
+        for plane in planes:
+            zeros = ties & ~plane
+            if zeros:
+                ties, low = zeros, low << 1
+            else:
+                low = low << 1 | 1
+        cols += (low,)
+        if cols > best[: len(cols)]:
+            return
+        open_rows, closed_rows = set(), set()
+        for u in iter_bits(ties):
+            row, closed = adj[u], adj[u] | 1 << u
+            if row in open_rows or closed in closed_rows:
+                continue
+            open_rows.add(row)
+            closed_rows.add(closed)
+            rest = remaining & ~(1 << u)
+            descend(planes + (row & rest,), rest, cols)
+
+    descend((), (1 << n) - 1, ())
+    return (n, best[1:])
 
 
 def to_networkx(g: Graph) -> nx.Graph:

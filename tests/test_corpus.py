@@ -33,6 +33,7 @@ from helpers import (
     path_graph,
     petersen_graph,
     random_graph,
+    reference_canonical_key,
     to_networkx,
 )
 
@@ -71,6 +72,12 @@ class TestGraph6:
         s = write_graph6(cycle_graph(5))
         with pytest.raises(ValueError):
             read_graph6(s + "w")
+
+    def test_eight_byte_header_rejected(self):
+        # "~~" opens the n > 258047 header; read as the 4-byte form it
+        # would give n = 258048 from the wrong characters
+        with pytest.raises(ValueError, match="8-byte header '~~'"):
+            read_graph6("~~??A?")
 
     def test_non_printable_rejected(self):
         with pytest.raises(ValueError):
@@ -275,6 +282,27 @@ def blow_up(base: Graph, sizes: list[int], cliques: list[bool], rng: random.Rand
         if (cliques[owner[x]] if owner[x] == owner[y] else base.has_edge(owner[x], owner[y]))
     ]
     return build_graph(len(owner), edges)
+
+
+@st.composite
+def keyed_graphs(draw, max_n: int = 12) -> Graph:
+    """A labelled graph on up to ``max_n`` vertices: an arbitrary one, or
+    a blow-up whose vertices fall into open and closed twin sets."""
+    if draw(st.booleans()):
+        return draw(graphs(max_n=max_n))
+    base = draw(graphs(max_n=5))
+    n = draw(st.integers(base.n, max_n))
+    cliques = draw(st.lists(st.booleans(), min_size=base.n, max_size=base.n))
+    rng = draw(st.randoms(use_true_random=False))
+    return blow_up(base, split(n, base.n, rng), cliques, rng)
+
+
+@settings(max_examples=300)
+@given(g=keyed_graphs())
+def test_canonical_key_equals_reference(g):
+    # the exact key, not only an invariant one: stream order and digests
+    # are read off it
+    assert canonical_key(g) == reference_canonical_key(g), g.edges()
 
 
 @st.composite
