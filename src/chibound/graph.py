@@ -198,24 +198,9 @@ def components_masks(g: Graph, within: int) -> list[int]:
 
 
 def _component_mask(g: Graph, start_mask: int, within: int) -> int:
-    """Mask of the component of ``start_mask`` inside the induced set ``within``.
-
-    The frontier loop of :func:`bfs_layers`, keeping only the union.  Two
-    loops, because the layers answer distance questions (the balloon
-    depth test) and a component needs none of them, yet is asked far
-    more often (cutsets, connectivity tests).
-    """
-    adj = g.adj
-    seen = frontier = start_mask & within
-    while frontier:
-        nxt = 0
-        while frontier:
-            low = frontier & -frontier
-            nxt |= adj[low.bit_length() - 1]
-            frontier ^= low
-        frontier = nxt & within & ~seen
-        seen |= frontier
-    return seen
+    """Mask of the component of ``start_mask`` inside the induced set
+    ``within``: the union of its :func:`bfs_layers`."""
+    return sum(bfs_layers(g, start_mask, within))
 
 
 def is_connected_mask(g: Graph, mask: int) -> bool:
@@ -226,11 +211,12 @@ def is_connected_mask(g: Graph, mask: int) -> bool:
 def is_t_connected(g: Graph, t: int) -> bool:
     """Exact t-connectivity: |V| >= t+1 and no vertex cut of size < t.
 
-    Complete graphs are (n-1)-connected.  Otherwise, with v a vertex of
-    minimum degree, it is decided by Menger-style vertex-disjoint path
-    counts between v and each vertex outside N[v] and between each
-    nonadjacent pair inside N(v) (Esfahanian & Hakimi, 1984): a minimum
-    separator either misses v or contains v and splits N(v).
+    With v a vertex of minimum degree, it is decided by Menger-style
+    vertex-disjoint path counts between v and each vertex outside N[v]
+    and between each nonadjacent pair inside N(v) (Esfahanian & Hakimi,
+    1984): a minimum separator either misses v or contains v and splits
+    N(v).  A complete graph has neither kind of pair, so K_n is
+    t-connected exactly when t <= n - 1, without any flow.
     """
     _require_ints(t=(t, 1))
     return _t_connected_mask(g, g.full_mask(), t)
@@ -253,8 +239,6 @@ def _t_connected_mask(g: Graph, mask: int, t: int) -> bool:
             return False
         if d < low:
             low, v = d, u
-    if low == k - 1:  # complete
-        return True
     near = adj[v] & mask
     for w in iter_bits(mask & ~near & ~(1 << v)):
         if _vertex_flow_at_least(g, mask, v, w, t) < t:

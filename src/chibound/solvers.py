@@ -6,12 +6,11 @@ on true values of chi and omega.  A chromatic number of a vertex
 subset that is at most 2 comes from a bitset two-colouring
 (:func:`_two_colour`); every other one, and every chromatic number of
 a whole graph with its witness, comes from one routine, :func:`_chi`, on a
-vertex mask of the host rows: a greedy saturation coloring gives the
-upper bound, and a saturation search with a maximum clique precolored
-refutes each smaller color count or finds the optimal witness.  The
-greedy coloring (:func:`_greedy`) is one loop, with no copies and no
-recursion: it is exactly the first descent of the search with as many
-colors as vertices, which can never backtrack.  Every
+vertex mask of the host rows.  It runs one saturation search,
+:func:`_dsatur`, in two roles: with as many colors as vertices and
+nothing precolored the search never backtracks, and its first descent
+gives the upper bound; with a maximum clique precolored it refutes each
+smaller color count or finds the optimal witness.  Every
 clique number comes from one branch and bound, :func:`_max_clique`.
 The maximum clique of a whole graph is searched at most once per
 :class:`~chibound.graph.Graph` and kept on it (:func:`_graph_clique`),
@@ -129,8 +128,10 @@ def _dsatur(adj: list[int], k: int, clique: list[int]) -> list[int] | None:
     would raise a vertex of saturation k - 1 is refused before the
     buckets are copied, since that vertex would be picked next and fail.
     Returns the color of every rank, or None when no such coloring exists.
-    With ``k = len(adj)`` and no clique the search never backtracks, and
-    :func:`_greedy` computes that first descent as a plain loop.
+    With ``k = len(adj)`` and no clique the search never backtracks: an
+    uncolored neighbor of the vertex being colored has at most
+    ``len(adj) - 2`` colored neighbors, so the saturation refusal never
+    fires, and a new color is always free.
     """
     colors = [-1] * len(adj)
     near = [0] * k
@@ -180,56 +181,6 @@ def _dsatur(adj: list[int], k: int, clique: list[int]) -> list[int] | None:
         return False
 
     return colors if assign(buckets, uncolored, len(clique)) else None
-
-
-def _greedy(adj: list[int]) -> list[int]:
-    """The DSATUR coloring of rank-relabelled ``adj`` with no color limit.
-
-    The vertex colored next is the lowest rank in the highest non-empty
-    saturation bucket; it takes the lowest color class it has no
-    neighbor in, or opens the next one, and its uncolored neighbors
-    outside that class move up one bucket.  This is the first descent of
-    ``_dsatur(adj, len(adj), [])``, which can never fail: an uncolored
-    neighbor of the chosen vertex has at most ``len(adj) - 2`` colored
-    neighbors, so no color is refused and no branch backtracks.
-    Returns the color of every rank.
-    """
-    n = len(adj)
-    colors = [0] * n
-    near: list[int] = []  # near[c]: union of the neighborhoods of class c
-    uncolored = (1 << n) - 1
-    buckets = [uncolored] + [0] * n
-    s = 0
-    for _ in range(n):
-        while not buckets[s]:
-            s -= 1
-        bucket = buckets[s]
-        low = bucket & -bucket
-        buckets[s] = bucket ^ low
-        uncolored ^= low
-        v = low.bit_length() - 1
-        adj_v = adj[v]
-        c = 0
-        for old in near:
-            if not old >> v & 1:
-                near[c] = old | adj_v
-                break
-            c += 1
-        else:
-            old = 0
-            near.append(adj_v)
-        colors[v] = c
-        raised = adj_v & uncolored & ~old
-        t = s
-        while raised:
-            moved = buckets[t] & raised
-            if moved:
-                buckets[t] ^= moved
-                buckets[t + 1] |= moved
-                raised ^= moved
-            t -= 1
-        s += 1
-    return colors
 
 
 def chromatic_number(g: Graph) -> tuple[int, Coloring]:
@@ -305,23 +256,22 @@ def _capped(mask: int) -> int:
 def _chi(g: Graph, mask: int) -> tuple[int, list[int], list[int]]:
     """Chromatic number of the subgraph of ``g`` induced on ``mask``.
 
-    One rank relabelling (:func:`_rank_relabel`) and one greedy
-    saturation coloring (:func:`_greedy`), a loop that equals the first
-    descent of the saturation search with n colors, since that descent
-    never backtracks.  Its count is the upper bound, exact when at most
-    3 (DSATUR is exact on bipartite graphs; Brélaz 1979).  Above that,
+    One rank relabelling (:func:`_rank_relabel`), then the saturation
+    search (:func:`_dsatur`) with n colors, whose first descent never
+    backtracks.  Its count is the upper bound, exact when at most 3
+    (DSATUR is exact on bipartite graphs; Brélaz 1979).  Above that,
     a maximum clique on host ids is precolored in ascending id, and the
     search (:func:`_dsatur`) refutes each k from omega up or finds it
     optimal; for the whole graph the clique is the one kept on ``g``
     (:func:`_graph_clique`), for a proper subset a fresh
     :func:`_max_clique` on the mask.  An edgeless mask gets every vertex
-    colored 0 from the greedy loop, and the empty mask 0 colors.
+    colored 0 from the first descent, and the empty mask 0 colors.
     Returns ``(k, colors by rank, rank)``; its callers check ``CHI_MAX_N``.
     """
     rows = g.adj
     rank, adj = _rank_relabel(rows, iter_bits(mask), mask)
-    greedy = _greedy(adj)
-    ub = max(greedy, default=-1) + 1
+    first = _dsatur(adj, len(adj), [])
+    ub = max(first, default=-1) + 1
     if ub > 3:
         whole = mask == g.full_mask()
         omega, clique = _graph_clique(g) if whole else _max_clique(rows, mask)
@@ -330,7 +280,7 @@ def _chi(g: Graph, mask: int) -> tuple[int, list[int], list[int]]:
             colors = _dsatur(adj, k, precolored)
             if colors is not None:
                 return k, colors, rank
-    return ub, greedy, rank
+    return ub, first, rank
 
 
 def _rank_relabel(

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from chibound.corpus import CorpusSpec, read_graph6, write_graph6
 from chibound.patterns import Occurrence, PatternSpec, make_pattern, validate_occurrence
-from chibound.structures import in_class_H
+from chibound.structures import BALLOON_MAX_N, in_class_H
 from chibound.graph import (
     Graph,
     _t_connected_mask,
@@ -261,10 +261,23 @@ class TestTConnectivity:
                 )
 
     def test_complete_graphs_brute(self):
-        for n in range(2, 8):
+        # K_n is t-connected iff t <= n - 1, up to the balloon cap; cut
+        # enumeration agrees while it is cheap
+        for n in range(2, BALLOON_MAX_N + 1):
             g = complete_graph(n)
             for t in range(1, n + 1):
-                assert is_t_connected(g, t) == brute_force_is_t_connected(g, t)
+                assert is_t_connected(g, t) == (t <= n - 1), (n, t)
+                if n < 8:
+                    assert brute_force_is_t_connected(g, t) == (t <= n - 1)
+        # complete masks inside a larger random host, without relabeling
+        rng = random.Random(37)
+        for _ in range(40):
+            host = random_graph(BALLOON_MAX_N + 4, rng.choice([0.2, 0.5, 0.8]), rng)
+            members = rng.sample(range(host.n), rng.randint(2, BALLOON_MAX_N))
+            g = build_graph(host.n, host.edges() + list(combinations(members, 2)))
+            for t in range(1, len(members) + 1):
+                expected = t <= len(members) - 1
+                assert _t_connected_mask(g, mask_of(members), t) == expected, (g.edges(), members, t)
 
     def test_cut_vertex_of_minimum_degree(self):
         # vertex 0 has minimum degree and is the only cut vertex: the cut

@@ -10,7 +10,6 @@ from chibound.patterns import PatternSpec, find_induced, make_pattern
 from chibound.solvers import (
     Coloring,
     _dsatur,
-    _greedy,
     _rank_relabel,
     _two_colour,
     chi_of_subset,
@@ -227,26 +226,14 @@ class TestGreedy:
     def ranked(g):
         return _rank_relabel(g.adj, list(range(g.n)), g.full_mask())[1]
 
-    @settings(max_examples=100)
-    @given(
-        n=st.integers(0, 40),
-        p=st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9]),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_first_descent_of_search(self, n, p, seed):
-        adj = self.ranked(random_graph(n, p, random.Random(seed)))
-        assert _greedy(adj) == _dsatur(adj, len(adj), [])
-
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 40])
     def test_complete_and_one_edge_short(self, n):
-        # saturation reaches n - 2 here, the most the search allows
+        # the first descent with n colors, which gives chi's upper bound:
+        # saturation reaches n - 2 here, the most it allows without a refusal
         full = complete_graph(n)
         short = build_graph(n, [e for e in full.edges() if e != (0, n - 1)])
-        for g in (full, short):
-            adj = self.ranked(g)
-            assert _greedy(adj) == _dsatur(adj, n, [])
-        assert max(_greedy(self.ranked(full))) == n - 1
-        assert max(_greedy(self.ranked(short))) == max(n - 2, 0)
+        assert max(_dsatur(self.ranked(full), n, [])) == n - 1
+        assert max(_dsatur(self.ranked(short), n, [])) == max(n - 2, 0)
 
 
 class TestColoring:
